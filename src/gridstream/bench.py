@@ -23,15 +23,13 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
-from .grid import build_grid
+from .grid import DEFAULT_BBOX, build_grid
 from .operators import batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, RangeQuery, RuntimeMetrics,
                       run_pipeline)
 from .streams import SpatialPoint, format_csv_line
 from .windows import WindowSpec
-
-DEFAULT_BBOX = (115.5, 39.6, 117.6, 41.1)
 
 # sweep axis -> BenchConfig field
 AXES = {

@@ -19,9 +19,7 @@ import json
 import sys
 from typing import IO, Iterator
 
-from .bench import (BenchConfig, DEFAULT_BBOX, bench_axis, bench_default,
-                    synth_stream, write_bench_csv, write_plot_data)
-from .grid import GridError, build_grid
+from .grid import DEFAULT_BBOX, GridError, build_grid
 from .operators import batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, PipelineError, RangeQuery,
@@ -88,7 +86,6 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-slide-ms", type=int, default=5000)
     p.add_argument("--lateness-ms", type=int, default=0)
     p.add_argument("--parallelism", type=int, default=4)
-    p.add_argument("--queue-capacity", type=int, default=64)
     p.add_argument("--naive", action="store_true",
                    help="run the no-index variant instead of the grid pipeline")
     p.add_argument("--haversine", action="store_true",
@@ -145,8 +142,7 @@ def _run_query(args, kind: str) -> int:
             out_fh.write("\n")
             out_fh.flush()
 
-        config = PipelineConfig(parallelism=args.parallelism,
-                                queue_capacity=args.queue_capacity)
+        config = PipelineConfig(parallelism=args.parallelism)
         _batches, metrics = run_pipeline(sources, stages, query, grid,
                                          config, emit)
     finally:
@@ -167,6 +163,9 @@ def _run_query(args, kind: str) -> int:
 
 
 def _run_bench(args) -> int:
+    # bench and synth import modules a query never needs; load them late.
+    from .bench import (BenchConfig, bench_axis, bench_default,
+                        write_bench_csv, write_plot_data)
     cfg = BenchConfig(
         bbox=args.bbox, m=args.grid, n_bits=args.nbits, r=args.r,
         window_ms=args.window_size_ms, slide_ms=args.window_slide_ms,
@@ -192,6 +191,7 @@ def _run_bench(args) -> int:
 
 
 def _run_synth(args) -> int:
+    from .bench import synth_stream
     n = synth_stream(args.out, args.n, args.bbox, args.rate, args.seed,
                      args.distribution)
     print(f"wrote {n} records to {args.out}", file=sys.stderr)

@@ -19,6 +19,9 @@ from typing import Iterator, NamedTuple
 
 SQRT2 = math.sqrt(2.0)
 
+# minx, miny, maxx, maxy of the Beijing box: the CLI's and bench's extent.
+DEFAULT_BBOX = (115.5, 39.6, 117.6, 41.1)
+
 
 class GridError(ValueError):
     """Invalid grid construction or cell arithmetic."""

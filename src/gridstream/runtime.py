@@ -1,37 +1,30 @@
-"""A small keyed streaming runtime on threads and bounded queues.
+"""A keyed streaming runtime that runs on one thread.
 
-One router thread consumes the source(s), drops out-of-extent and late
-records, assigns cell keys, and fans points out to stage-one workers:
-key-hashed for keyed stages, round-robin for rebalanced ones. For grid
-range/kNN queries the keyed filter's layer test is chained into the
-router (as Flink chains operators): a point in a pruned cell is counted
-toward its windows and credited to the filter instance its key routes
-to, but never crosses a queue, so filters receive only guaranteed and
-candidate points.
+The router consumes the source(s), drops out-of-extent and late records,
+assigns cell keys, and pushes each record into one of P stage-one
+instances: key-hashed for keyed stages, round-robin for rebalanced ones.
+The instances are logical partitions, plain objects called directly, as
+Flink runs chained operators in one task thread with no queue between
+them. For grid range/kNN queries the keyed filter's layer test runs in
+the router: a point in a pruned cell is counted toward its windows and
+credited to the filter instance its key routes to, but never windowed,
+so filters hold only guaranteed and candidate points.
 
-Watermarks are broadcast in-band, carrying the globally observed first
-and last window starts so every worker fires the exact same window
-sequence, empty windows included. Downstream stages never see
-watermarks; they complete a window by counting flush markers or partial
-results, one per upstream instance, which makes per-window output
-independent of thread scheduling, queue capacity, and parallelism.
-
-Messages are chunked lists to keep per-tuple queue overhead low. All
-payloads are immutable or ownership-transferred; workers share nothing
-but channels. A worker exception aborts the whole run with a diagnostic
-rather than masking partial results.
+Every chunk_size records the router re-reads the watermark. When it has
+risen, every instance fires up to it, given the globally observed first
+and last window starts so all instances fire the exact same window
+sequence, empty windows included. One function then combines each
+window's per-instance partial results into a single ResultBatch, which
+makes output independent of parallelism.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import queue
-import threading
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator
+from typing import Any, Callable, ClassVar, Iterator
 
 from .geo import degree_radius_bounds, haversine_m
 from .grid import Grid, LayerKeys, OutsideExtentError
@@ -39,8 +32,8 @@ from .operators import (Distance, ResultBatch, euclidean, join_naive,
                         join_per_key, knn_local, knn_merge, range_naive,
                         range_refine, replicas_for)
 from .streams import SpatialPoint
-from .windows import (SlidingWindower, WindowInstance, WindowSpec,
-                      earliest_start, latest_start)
+from .windows import (SlidingWindower, WatermarkClock, WindowInstance,
+                      WindowSpec, earliest_start, latest_start)
 
 KEYED = "keyed-by-cell"
 REBALANCE = "rebalance"
@@ -60,11 +53,8 @@ class ConfigError(ValueError):
 
 
 class PipelineError(RuntimeError):
-    """A worker failed; the run was aborted."""
-
-
-class _Aborted(Exception):
-    """Internal signal: another worker failed, unwind quietly."""
+    """A source, an operator or the result callback failed; the run was
+    aborted."""
 
 
 def fnv1a64(data: bytes) -> int:
@@ -178,27 +168,22 @@ NAIVE_STAGES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """parallelism is the number of stage-one instances; chunk_size is
+    the number of records consumed between watermark evaluations."""
+
     parallelism: int = 1
-    queue_capacity: int = 64
     chunk_size: int = 512
-    refine_parallelism: int | None = None
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.queue_capacity < 1:
-            raise ConfigError(f"queue_capacity must be >= 1, "
-                              f"got {self.queue_capacity}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.refine_parallelism is not None and self.refine_parallelism < 1:
-            raise ConfigError(f"refine_parallelism must be >= 1, "
-                              f"got {self.refine_parallelism}")
 
 
 @dataclass
 class RuntimeMetrics:
-    """Counters merged from all instances after the run finishes."""
+    """Counters gathered from the router and every instance."""
 
     parallelism: int = 1
     consumed: int = 0
@@ -213,7 +198,6 @@ class RuntimeMetrics:
     instance_tuples: dict[str, int] = field(default_factory=dict)
     instance_distance: dict[str, int] = field(default_factory=dict)
     instance_max_pending: dict[str, int] = field(default_factory=dict)
-    window_latency_ms: dict[int, float] = field(default_factory=dict)
     router_samples: list[tuple[float, int]] = field(default_factory=list)
     completion_samples: list[tuple[float, int]] = field(default_factory=list)
 
@@ -247,214 +231,224 @@ class RuntimeMetrics:
         return rows
 
 
-class _Channel:
-    """Bounded blocking queue whose waits bail out when the run aborts."""
-
-    __slots__ = ("_q", "_abort")
-
-    def __init__(self, capacity: int, abort: threading.Event):
-        self._q = queue.Queue(maxsize=capacity)
-        self._abort = abort
-
-    def put(self, msg: tuple) -> None:
-        while True:
-            try:
-                self._q.put(msg, timeout=0.05)
-                return
-            except queue.Full:
-                if self._abort.is_set():
-                    raise _Aborted()
-
-    def get(self) -> tuple:
-        while True:
-            try:
-                return self._q.get(timeout=0.05)
-            except queue.Empty:
-                if self._abort.is_set():
-                    raise _Aborted()
+# Record generators yield (event_time, placements) where placements is a
+# tuple of (dest, key, item): dest is an instance index, or _BROADCAST
+# for every instance; key is the windower bucket key. placements is None
+# when the record falls outside the grid extent, and item is None for a
+# point the layer test pruned: it is credited to dest but never windowed.
 
 
-class _Router:
-    """Single thread feeding stage one; owns all drop decisions and, for
-    grid range/kNN, the layer test.
+def _point_records(source: Iterator[SpatialPoint], grid: Grid, u: int,
+                   layers: LayerKeys | None):
+    """Range/kNN records: keyed by cell and tagged with their layer
+    (True = guaranteed, False = candidate) given layer keys, else
+    rebalanced round-robin."""
+    if layers is None:
+        rr = RoundRobin(u)
+        for p in source:
+            if not grid.contains(p.x, p.y):
+                yield (p.event_time, None)
+                continue
+            yield (p.event_time, ((rr.next(), None, p),))
+        return
+    # Cell key -> True (guaranteed) / False (candidate); a key that is
+    # absent is pruned.
+    layer = dict.fromkeys(layers.guaranteed, True)
+    layer.update(dict.fromkeys(layers.candidate, False))
+    # Inlined Grid.cell_of (same division, same edge folding): this loop
+    # runs once per consumed tuple.
+    cache: dict[int, int] = {}
+    n_bits = grid.n_bits
+    min_x, min_y = grid.min_x, grid.min_y
+    max_x, max_y = grid.max_x, grid.max_y
+    cell_len = grid.cell_len
+    xi_top, yi_top = grid.x_cells - 1, grid.y_cells - 1
+    for p in source:
+        x, y = p.x, p.y
+        if not (min_x <= x <= max_x and min_y <= y <= max_y):
+            yield (p.event_time, None)
+            continue
+        xi = int((x - min_x) / cell_len)
+        yi = int((y - min_y) / cell_len)
+        if xi > xi_top:
+            xi = xi_top
+        if yi > yi_top:
+            yi = yi_top
+        key = (xi << n_bits) | yi
+        dest = cache.get(key)
+        if dest is None:
+            dest = route_keyed(key, n_bits, u)
+            cache[key] = dest
+        flag = layer.get(key)
+        if flag is None:
+            yield (p.event_time, ((dest, None, None),))
+        else:
+            yield (p.event_time, ((dest, flag, p),))
+
+
+def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
+                  grid: Grid, u: int, keyed: bool):
+    """Join records from both streams. Keyed: ordinary points go to their
+    cell's instance as (True, point), query points to every layer cell's
+    instance as (False, replica), bucketed by cell. Naive: ordinary
+    points are rebalanced, query points broadcast, bucketed by stream
+    (True = ordinary)."""
+    n_bits = grid.n_bits
+
+    def tagged(src, idx):
+        for seq, p in enumerate(src):
+            yield (p.event_time, idx, seq, p)
+
+    # Two-source merge ordered by (event_time, source, position) so the
+    # interleaving is a pure function of the inputs.
+    merged = heapq.merge(tagged(sources[0], 0), tagged(sources[1], 1))
+    if not keyed:
+        rr = RoundRobin(u)
+        for t, src, _seq, p in merged:
+            if not grid.contains(p.x, p.y):
+                yield (t, None)
+            elif src == 0:
+                yield (t, ((rr.next(), True, p),))
+            else:
+                yield (t, ((_BROADCAST, False, p),))
+        return
+    dest_cache: dict[int, int] = {}
+    layer_cache: dict = {}
+    r_guar, r_cand = _layer_radii(query, grid)
+    for t, src, _seq, p in merged:
+        try:
+            coord = grid.cell_of(p.x, p.y)
+        except OutsideExtentError:
+            yield (t, None)
+            continue
+        if src == 0:
+            key = (coord[0] << n_bits) | coord[1]
+            dest = dest_cache.get(key)
+            if dest is None:
+                dest = route_keyed(key, n_bits, u)
+                dest_cache[key] = dest
+            yield (t, ((dest, key, (True, p)),))
+        else:
+            keys = layer_cache.get(coord)
+            if keys is None:
+                keys = grid.layer_keys(grid.layer_sets(coord, r_guar, r_cand))
+                layer_cache[coord] = keys
+            placements = []
+            for rep in replicas_for(keys, p):
+                dest = dest_cache.get(rep.cell)
+                if dest is None:
+                    dest = route_keyed(rep.cell, n_bits, u)
+                    dest_cache[rep.cell] = dest
+                placements.append((dest, rep.cell, (False, rep)))
+            yield (t, tuple(placements))
+
+
+def _join_buckets(w: WindowInstance, r: float,
+                  dist: Distance) -> tuple[set[tuple[str, str]], int]:
+    """Keyed join of one fired window, cell bucket by cell bucket."""
+    pairs: set[tuple[str, str]] = set()
+    dc = 0
+    for bucket in w.buckets.values():
+        reps = [x[1] for x in bucket if not x[0]]
+        if not reps:
+            continue
+        pts = [x[1] for x in bucket if x[0]]
+        if not pts:
+            continue
+        got, n = join_per_key(pts, reps, r, dist)
+        pairs |= got
+        dc += n
+    return pairs, dc
+
+
+def _evaluator(query: Query, variant: str
+               ) -> Callable[[WindowInstance], tuple[Any, int]]:
+    """One instance's (partial result, distance computations) for a
+    fired window."""
+    dist = _dist_for(query)
+    r = query.r
+    if query.kind == "join":
+        if variant == "grid":
+            return lambda w: _join_buckets(w, r, dist)
+        return lambda w: join_naive(w.buckets.get(True, ()),
+                                    w.buckets.get(False, ()), r, dist)
+    x, y = query.x, query.y
+    if query.kind == "knn":
+        return lambda w: knn_local(w.members, x, y, r, query.k, dist)
+    if variant == "grid":
+        return lambda w: range_refine(w.buckets.get(True, ()),
+                                      w.buckets.get(False, ()), x, y, r, dist)
+    return lambda w: range_naive(w.members, x, y, r, dist)
+
+
+def _combiner(query: Query) -> Callable[[list], Any]:
+    """One window's result from its per-instance partials."""
+    if query.kind == "knn":
+        return lambda parts: knn_merge(parts, query.k)
+    if query.kind == "join":
+        return lambda parts: set().union(*parts)
+    return lambda parts: [p for part in parts for p in part]
+
+
+class _Instance:
+    """One logical stage-one partition: its windower and its counters."""
+
+    __slots__ = ("name", "windower", "dc", "max_pending")
+
+    def __init__(self, name: str, window: WindowSpec):
+        self.name = name
+        self.windower = SlidingWindower(window.length, window.slide)
+        self.dc = 0
+        self.max_pending = 0
+
+
+class _Executor:
+    """The router loop and the window firing it drives.
 
     The late check compares against the watermark most recently
-    broadcast, which is exactly the watermark a worker holds when the
-    record reaches it (all chunks are flushed before every broadcast),
-    so dropping here instead of in the workers changes nothing except
-    where the counter lives. Because watermark cadence is counted in
-    records, not routed items, the grid and naive variants of a query
-    make identical drop decisions on identical input.
+    evaluated, so every instance holds that watermark when a record
+    reaches it. Because watermark cadence is counted in records, not
+    routed items, the grid and naive variants of a query make identical
+    drop decisions on identical input.
 
-    Given layer keys, the router classifies each point by its cell key
-    and enqueues only guaranteed/candidate points, tagged with their
-    layer. A pruned point still passes the late check and drives the
-    watermark and window-start hints like any other record; it is
-    counted as routed, credited to the filter instance its key routes
-    to (pruned_records), and counted once per window it belongs to
-    (pruned_members). That count is exact by arithmetic: the late check
-    guarantees none of a passed record's windows has fired yet, so every
-    window from its earliest to its latest start fires later.
+    A pruned point still passes the late check and drives the watermark
+    and window-start hints like any other record; it is counted as
+    routed, credited to its instance, and counted once per window it
+    belongs to (pruned_members). That count is exact by arithmetic: the
+    late check guarantees none of a passed record's windows has fired
+    yet, so every window from its earliest to its latest start fires
+    later.
     """
 
-    name = "router"
-
-    def __init__(self, sources: list[Iterator[SpatialPoint]], keyed: bool,
-                 query: Query, grid: Grid, out: list[_Channel],
-                 chunk_size: int, metrics: RuntimeMetrics,
-                 layers: LayerKeys | None = None):
-        self.sources = sources
-        self.keyed = keyed
+    def __init__(self, query: Query, instances: list[_Instance],
+                 evaluate: Callable[[WindowInstance], tuple[Any, int]],
+                 combine: Callable[[list], Any], chunk_size: int,
+                 metrics: RuntimeMetrics,
+                 callback: Callable[[ResultBatch], None] | None):
         self.query = query
-        self.grid = grid
-        self.out = out
+        self.instances = instances
+        self.evaluate = evaluate
+        self.combine = combine
         self.chunk_size = chunk_size
         self.metrics = metrics
-        self.layers = layers
-        self.tuples = 0
-        self.pruned_records = [0] * len(out)
+        self.callback = callback
+        self.results: list[ResultBatch] = []
 
-    def loop(self) -> None:
-        if self.query.kind == "join":
-            self._pump(self._join_records())
-        else:
-            self._pump(self._point_records())
-
-    # Record generators yield (event_time, placements) where placements
-    # is a tuple of (dest, key, item), dest=_BROADCAST for all-instance
-    # fan-out, or None when the record falls outside the grid extent.
-    # item is None for a point the layer test pruned: it is credited to
-    # dest but never enqueued.
-
-    def _point_records(self):
-        grid = self.grid
-        u = len(self.out)
-        if self.keyed:
-            # Cell key -> True (guaranteed) / False (candidate); a key
-            # that is absent is pruned.
-            layer = dict.fromkeys(self.layers.guaranteed, True)
-            layer.update(dict.fromkeys(self.layers.candidate, False))
-            # Inlined Grid.cell_of (same division, same edge folding):
-            # this loop runs once per consumed tuple.
-            cache: dict[int, int] = {}
-            n_bits = grid.n_bits
-            min_x, min_y = grid.min_x, grid.min_y
-            max_x, max_y = grid.max_x, grid.max_y
-            cell_len = grid.cell_len
-            xi_top, yi_top = grid.x_cells - 1, grid.y_cells - 1
-            for p in self.sources[0]:
-                x, y = p.x, p.y
-                if not (min_x <= x <= max_x and min_y <= y <= max_y):
-                    yield (p.event_time, None)
-                    continue
-                xi = int((x - min_x) / cell_len)
-                yi = int((y - min_y) / cell_len)
-                if xi > xi_top:
-                    xi = xi_top
-                if yi > yi_top:
-                    yi = yi_top
-                key = (xi << n_bits) | yi
-                dest = cache.get(key)
-                if dest is None:
-                    dest = route_keyed(key, n_bits, u)
-                    cache[key] = dest
-                flag = layer.get(key)
-                if flag is None:
-                    yield (p.event_time, ((dest, None, None),))
-                else:
-                    yield (p.event_time, ((dest, flag, p),))
-        else:
-            rr = RoundRobin(u)
-            for p in self.sources[0]:
-                if not grid.contains(p.x, p.y):
-                    yield (p.event_time, None)
-                    continue
-                yield (p.event_time, ((rr.next(), 0, p),))
-
-    def _join_records(self):
-        grid = self.grid
-        u = len(self.out)
-        n_bits = grid.n_bits
-
-        def tagged(src, idx):
-            for seq, p in enumerate(src):
-                yield (p.event_time, idx, seq, p)
-
-        # Two-source merge ordered by (event_time, source, position) so
-        # the interleaving is a pure function of the inputs, never of
-        # thread timing.
-        merged = heapq.merge(tagged(self.sources[0], 0),
-                             tagged(self.sources[1], 1))
-        if self.keyed:
-            dest_cache: dict[int, int] = {}
-            layer_cache: dict = {}
-            r_guar, r_cand = _layer_radii(self.query, grid)
-            for t, src, _seq, p in merged:
-                try:
-                    coord = grid.cell_of(p.x, p.y)
-                except OutsideExtentError:
-                    yield (t, None)
-                    continue
-                if src == 0:
-                    key = (coord[0] << n_bits) | coord[1]
-                    dest = dest_cache.get(key)
-                    if dest is None:
-                        dest = route_keyed(key, n_bits, u)
-                        dest_cache[key] = dest
-                    yield (t, ((dest, key, (True, p)),))
-                else:
-                    keys = layer_cache.get(coord)
-                    if keys is None:
-                        keys = grid.layer_keys(
-                            grid.layer_sets(coord, r_guar, r_cand))
-                        layer_cache[coord] = keys
-                    placements = []
-                    for rep in replicas_for(keys, p):
-                        dest = dest_cache.get(rep.cell)
-                        if dest is None:
-                            dest = route_keyed(rep.cell, n_bits, u)
-                            dest_cache[rep.cell] = dest
-                        placements.append((dest, rep.cell, (False, rep)))
-                    yield (t, tuple(placements))
-        else:
-            rr = RoundRobin(u)
-            for t, src, _seq, p in merged:
-                if not grid.contains(p.x, p.y):
-                    yield (t, None)
-                    continue
-                if src == 0:
-                    yield (t, ((rr.next(), 0, (True, p)),))
-                else:
-                    yield (t, ((_BROADCAST, 0, (False, p)),))
-
-    def _pump(self, records) -> None:
+    def run(self, records) -> None:
         metrics = self.metrics
         w = self.query.window
-        length, slide, lateness = w.length, w.slide, w.lateness
-        u = len(self.out)
-        keyed = self.keyed
+        length, slide = w.length, w.slide
+        clock = WatermarkClock(w.lateness)
+        observe = clock.observe
+        instances = self.instances
+        u = len(instances)
+        adders = [inst.windower.add for inst in instances]
+        tuples = [0] * u
         chunk_size = self.chunk_size
-        key_chunks: list[list] = [[] for _ in range(u)]
-        item_chunks: list[list] = [[] for _ in range(u)]
-        pruned_records = self.pruned_records
         consumed = routed = dropped = late = since = pruned_members = 0
-        max_t: int | None = None
         last_wm: int | None = None
         first_start: int | None = None
         max_start: int | None = None
-
-        def flush(dest: int) -> None:
-            self.out[dest].put(("pts",
-                                key_chunks[dest] if keyed else None,
-                                item_chunks[dest]))
-            if keyed:
-                key_chunks[dest] = []
-            item_chunks[dest] = []
-
-        def flush_all() -> None:
-            for d in range(u):
-                if item_chunks[d]:
-                    flush(d)
 
         for t, placements in records:
             consumed += 1
@@ -464,8 +458,7 @@ class _Router:
             if last_wm is not None and t < last_wm:
                 late += 1
                 continue
-            if max_t is None or t > max_t:
-                max_t = t
+            observe(t)
             es = earliest_start(t, length, slide)
             ls = latest_start(t, slide)
             if first_start is None or es < first_start:
@@ -475,381 +468,70 @@ class _Router:
             for dest, key, item in placements:
                 if dest == _BROADCAST:
                     for d in range(u):
-                        item_chunks[d].append(item)
-                        if len(item_chunks[d]) >= chunk_size:
-                            flush(d)
+                        adders[d](t, item, key)
+                        tuples[d] += 1
                     routed += u
-                elif item is None:
-                    pruned_records[dest] += 1
+                    continue
+                tuples[dest] += 1
+                routed += 1
+                if item is None:
                     if ls >= es:  # false only for t < 0: no window
                         pruned_members += (ls - es) // slide + 1
-                    routed += 1
                 else:
-                    item_chunks[dest].append(item)
-                    if keyed:
-                        key_chunks[dest].append(key)
-                    if len(item_chunks[dest]) >= chunk_size:
-                        flush(dest)
-                    routed += 1
+                    adders[dest](t, item, key)
             since += 1
             if since >= chunk_size:
                 since = 0
-                wm = max_t - lateness
+                wm = clock.watermark
                 if last_wm is None or wm > last_wm:
-                    flush_all()
-                    for chan in self.out:
-                        chan.put(("wm", wm, first_start, max_start))
+                    self._fire(wm, first_start, max_start)
                     last_wm = wm
                 metrics.router_samples.append((time.monotonic(), consumed))
 
-        flush_all()
         metrics.router_samples.append((time.monotonic(), consumed))
-        for chan in self.out:
-            chan.put(("eos", first_start, max_start))
-        self.tuples = consumed
+        self._fire(_FOREVER, first_start, max_start)
+        for inst, n in zip(instances, tuples):
+            metrics.instance_tuples[inst.name] = n
+            metrics.instance_distance[inst.name] = inst.dc
+            metrics.instance_max_pending[inst.name] = inst.max_pending
+        metrics.distance_computations = sum(inst.dc for inst in instances)
         metrics.consumed = consumed
         metrics.routed = routed
         metrics.dropped_outside = dropped
         metrics.late_dropped = late
         metrics.pruned_members = pruned_members
 
-
-class _WindowedWorker:
-    """Common loop for stage-one workers: window points, fire on watermarks."""
-
-    def __init__(self, name: str, in_ch: _Channel, window: WindowSpec):
-        self.name = name
-        self.in_ch = in_ch
-        self.windower = SlidingWindower(window.length, window.slide)
-        self.tuples = 0
-        self.dc = 0
-        self.max_pending = 0
-
-    def loop(self) -> None:
-        windower = self.windower
-        while True:
-            msg = self.in_ch.get()
-            tag = msg[0]
-            if tag == "pts":
-                self._add_chunk(msg[1], msg[2])
-                pending = windower.pending_count()
-                if pending > self.max_pending:
-                    self.max_pending = pending
-            elif tag == "wm":
-                for w in windower.fire_ready(msg[1], msg[2], msg[3]):
-                    self._emit(w)
-            elif tag == "eos":
-                for w in windower.fire_ready(_FOREVER, msg[1], msg[2]):
-                    self._emit(w)
-                self._finish()
-                return
+    def _fire(self, watermark: float, first_start: int | None,
+              max_start: int | None) -> None:
+        """Fire every instance up to the watermark and emit one batch per
+        window, in window order."""
+        fired = []
+        for inst in self.instances:
+            windower = inst.windower
+            # Pending windows only grow between firings, so their peak
+            # is reached just before one.
+            pending = windower.pending_count()
+            if pending > inst.max_pending:
+                inst.max_pending = pending
+            fired.append(windower.fire_ready(watermark, first_start,
+                                             max_start))
+        kind = self.query.kind
+        for group in zip(*fired, strict=True):
+            partials = []
+            for inst, w in zip(self.instances, group):
+                res, dc = self.evaluate(w)
+                inst.dc += dc
+                partials.append(res)
+            first = group[0]
+            batch = ResultBatch(first.start, first.end, kind,
+                                self.combine(partials))
+            self.metrics.windows_fired += 1
+            self.metrics.completion_samples.append((time.monotonic(),
+                                                    first.start))
+            if self.callback is None:
+                self.results.append(batch)
             else:
-                raise PipelineError(f"{self.name}: unexpected message {tag!r}")
-
-    def _add_chunk(self, keys, items) -> None:
-        raise NotImplementedError
-
-    def _emit(self, w: WindowInstance) -> None:
-        raise NotImplementedError
-
-    def _finish(self) -> None:
-        raise NotImplementedError
-
-
-class _FilterWorker(_WindowedWorker):
-    """Keyed stage for range/knn: receives only guaranteed/candidate
-    points, each tagged with its layer by the router (True = guaranteed),
-    windows them by layer and rebalances fired members to the refine
-    stage, then flush-marks every refiner."""
-
-    def __init__(self, name, in_ch, out: list[_Channel], query: Query,
-                 tagged: bool, chunk_size: int):
-        super().__init__(name, in_ch, query.window)
-        self.out = out
-        self.tagged = tagged
-        self.chunk_size = chunk_size
-        self.rr = RoundRobin(len(out))
-
-    def _add_chunk(self, keys, items) -> None:
-        self.tuples += len(items)
-        add = self.windower.add
-        for is_g, p in zip(keys, items):
-            add(p.event_time, p, is_g)
-
-    def _emit(self, w: WindowInstance) -> None:
-        buckets = w.buckets
-        gb = buckets.get(True) or ()
-        cb = buckets.get(False) or ()
-        if self.tagged:
-            items = [(True, p) for p in gb]
-            items += [(False, p) for p in cb]
-        else:
-            items = list(gb)
-            items += cb
-        cs = self.chunk_size
-        for i in range(0, len(items), cs):
-            self.out[self.rr.next()].put(("ritems", w.start, w.end,
-                                          items[i:i + cs]))
-        for ch in self.out:
-            ch.put(("rflush", w.start, w.end))
-
-    def _finish(self) -> None:
-        for ch in self.out:
-            ch.put(("eos",))
-
-
-class _JoinWorker(_WindowedWorker):
-    """Keyed join: windows ordinary points and query replicas together,
-    joins bucket by bucket at fire time, emits one partial per window."""
-
-    def __init__(self, name, in_ch, collector: _Channel, query: JoinQuery):
-        super().__init__(name, in_ch, query.window)
-        self.collector = collector
-        self.r = query.r
-        self.dist = _dist_for(query)
-
-    def _add_chunk(self, keys, items) -> None:
-        self.tuples += len(items)
-        add = self.windower.add
-        for key, it in zip(keys, items):
-            t = it[1].event_time if it[0] else it[1].point.event_time
-            add(t, it, key)
-
-    def _emit(self, w: WindowInstance) -> None:
-        pairs: set[tuple[str, str]] = set()
-        for bucket in w.buckets.values():
-            reps = [x[1] for x in bucket if not x[0]]
-            if not reps:
-                continue
-            pts = [x[1] for x in bucket if x[0]]
-            if not pts:
-                continue
-            got, dc = join_per_key(pts, reps, self.r, self.dist)
-            pairs |= got
-            self.dc += dc
-        self.collector.put(("partial", w.start, w.end, pairs))
-
-    def _finish(self) -> None:
-        self.collector.put(("eos",))
-
-
-class _NaiveWorker(_WindowedWorker):
-    """Rebalanced stage for the no-index variants: every fired window is
-    evaluated by brute force over this instance's share."""
-
-    def __init__(self, name, in_ch, out_ch: _Channel, query: Query):
-        super().__init__(name, in_ch, query.window)
-        self.out_ch = out_ch
-        self.query = query
-        self.dist = _dist_for(query)
-
-    def _add_chunk(self, keys, items) -> None:
-        self.tuples += len(items)
-        add = self.windower.add
-        if self.query.kind == "join":
-            for it in items:
-                add(it[1].event_time, it, it[0])
-        else:
-            for p in items:
-                add(p.event_time, p, None)
-
-    def _emit(self, w: WindowInstance) -> None:
-        q = self.query
-        if q.kind == "range":
-            res, dc = range_naive(w.members, q.x, q.y, q.r, self.dist)
-        elif q.kind == "knn":
-            res, dc = knn_local(w.members, q.x, q.y, q.r, q.k, self.dist)
-        else:
-            pts = [x[1] for x in w.buckets.get(True, ())]
-            qs = [x[1] for x in w.buckets.get(False, ())]
-            res, dc = join_naive(pts, qs, q.r, self.dist)
-        self.dc += dc
-        self.out_ch.put(("partial", w.start, w.end, res))
-
-    def _finish(self) -> None:
-        self.out_ch.put(("eos",))
-
-
-class _RefineWorker:
-    """Rebalanced refine for range/knn: accumulates shuffled layer points
-    per window, completes once every upstream filter flush-marked it."""
-
-    def __init__(self, name: str, in_ch: _Channel, out_ch: _Channel,
-                 query: Query, upstream: int):
-        self.name = name
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.query = query
-        self.upstream = upstream
-        self.dist = _dist_for(query)
-        self.tuples = 0
-        self.dc = 0
-        # window start -> [window end, guaranteed/points, candidates, marks]
-        self.state: dict[int, list] = {}
-        self.eos_seen = 0
-
-    def loop(self) -> None:
-        tagged = self.query.kind == "range"
-        while True:
-            msg = self.in_ch.get()
-            tag = msg[0]
-            if tag == "ritems":
-                _, ws, we, items = msg
-                st = self.state.get(ws)
-                if st is None:
-                    st = self.state[ws] = [we, [], [], 0]
-                self.tuples += len(items)
-                if tagged:
-                    g, c = st[1], st[2]
-                    for is_g, p in items:
-                        (g if is_g else c).append(p)
-                else:
-                    st[1] += items
-            elif tag == "rflush":
-                _, ws, we = msg
-                st = self.state.get(ws)
-                if st is None:
-                    st = self.state[ws] = [we, [], [], 0]
-                st[3] += 1
-                if st[3] == self.upstream:
-                    del self.state[ws]
-                    self._complete(ws, st)
-            elif tag == "eos":
-                self.eos_seen += 1
-                if self.eos_seen == self.upstream:
-                    if self.state:
-                        raise PipelineError(
-                            f"{self.name}: windows {sorted(self.state)} "
-                            f"never completed")
-                    self.out_ch.put(("eos",))
-                    return
-            else:
-                raise PipelineError(f"{self.name}: unexpected message {tag!r}")
-
-    def _complete(self, ws: int, st: list) -> None:
-        q = self.query
-        if q.kind == "range":
-            res, dc = range_refine(st[1], st[2], q.x, q.y, q.r, self.dist)
-        else:
-            res, dc = knn_local(st[1], q.x, q.y, q.r, q.k, self.dist)
-        self.dc += dc
-        self.out_ch.put(("partial", ws, st[0], res))
-
-
-class _MergeWorker:
-    """Single instance that merges per-partition top-k lists per window."""
-
-    def __init__(self, name: str, in_ch: _Channel, out_ch: _Channel,
-                 k: int, upstream: int):
-        self.name = name
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.k = k
-        self.upstream = upstream
-        self.tuples = 0
-        self.state: dict[int, list] = {}
-        self.eos_seen = 0
-
-    def loop(self) -> None:
-        while True:
-            msg = self.in_ch.get()
-            tag = msg[0]
-            if tag == "partial":
-                _, ws, we, partial = msg
-                st = self.state.get(ws)
-                if st is None:
-                    st = self.state[ws] = [we, [], 0]
-                st[1].append(partial)
-                self.tuples += len(partial)
-                st[2] += 1
-                if st[2] == self.upstream:
-                    del self.state[ws]
-                    self.out_ch.put(("final", ws, st[0],
-                                     knn_merge(st[1], self.k)))
-            elif tag == "eos":
-                self.eos_seen += 1
-                if self.eos_seen == self.upstream:
-                    if self.state:
-                        raise PipelineError(
-                            f"{self.name}: windows {sorted(self.state)} "
-                            f"never merged")
-                    self.out_ch.put(("eos",))
-                    return
-            else:
-                raise PipelineError(f"{self.name}: unexpected message {tag!r}")
-
-
-class _Collector:
-    """Assembles partials into one ResultBatch per window, in window order.
-
-    Completion order is provably monotone: every upstream emits its
-    partials in fire order, so a later window can only be complete once
-    every earlier one is.
-    """
-
-    name = "collector"
-
-    def __init__(self, in_ch: _Channel, kind: str, expected: int,
-                 eos_expected: int, metrics: RuntimeMetrics,
-                 callback: Callable[[ResultBatch], None] | None):
-        self.in_ch = in_ch
-        self.kind = kind
-        self.expected = expected
-        self.eos_expected = eos_expected
-        self.metrics = metrics
-        self.callback = callback
-        self.results: list[ResultBatch] = []
-        # window start -> [window end, accumulator, partials, first-seen time]
-        self.state: dict[int, list] = {}
-        self.eos_seen = 0
-
-    def loop(self) -> None:
-        while True:
-            msg = self.in_ch.get()
-            tag = msg[0]
-            if tag in ("partial", "final"):
-                _, ws, we, payload = msg
-                st = self.state.get(ws)
-                if st is None:
-                    st = self.state[ws] = [we, self._empty(), 0,
-                                           time.monotonic()]
-                self._accumulate(st, payload)
-                st[2] += 1
-                if st[2] == self.expected:
-                    del self.state[ws]
-                    self._finalize(ws, st)
-            elif tag == "eos":
-                self.eos_seen += 1
-                if self.eos_seen == self.eos_expected:
-                    if self.state:
-                        raise PipelineError(
-                            f"collector: windows {sorted(self.state)} "
-                            f"incomplete at end of stream")
-                    return
-            else:
-                raise PipelineError(f"collector: unexpected message {tag!r}")
-
-    def _empty(self):
-        return set() if self.kind == "join" else []
-
-    def _accumulate(self, st: list, payload) -> None:
-        if self.kind == "join":
-            st[1] |= payload
-        elif self.kind == "knn":
-            st[1] = payload
-        else:
-            st[1] += payload
-
-    def _finalize(self, ws: int, st: list) -> None:
-        now = time.monotonic()
-        if self.results and self.results[-1].window_start >= ws:
-            raise PipelineError(f"collector: window {ws} completed out of order")
-        batch = ResultBatch(ws, st[0], self.kind, st[1])
-        self.results.append(batch)
-        self.metrics.window_latency_ms[ws] = (now - st[3]) * 1000.0
-        self.metrics.completion_samples.append((now, ws))
-        if self.callback is not None:
-            self.callback(batch)
+                self.callback(batch)
 
 
 def validate_stages(stages: list[str], query: Query) -> str:
@@ -871,9 +553,13 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
                  ) -> tuple[list[ResultBatch], RuntimeMetrics]:
     """Run one continuous query over the given sources to completion.
 
-    Returns the per-window result batches in window order plus merged
-    metrics. Raises PipelineError if any worker fails, ConfigError if
-    the stage list does not match the query kind.
+    Returns the per-window result batches in window order plus the
+    metrics. With a callback, each batch is passed to it as its window
+    fires and none is kept: the returned list is empty, so memory stays
+    bounded on an unbounded source, and metrics.windows_fired still
+    counts them. Raises ConfigError if the stage list does not match the
+    query, and PipelineError, carrying the original message, if a
+    source, an operator or the callback raises.
     """
     variant = validate_stages(stages, query)
     n_sources = 2 if query.kind == "join" else 1
@@ -884,110 +570,32 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
         raise ConfigError(f"query point ({query.x}, {query.y}) outside "
                           f"the grid extent")
 
-    abort = threading.Event()
-    errors: list[tuple[str, str]] = []
-    err_lock = threading.Lock()
-    metrics = RuntimeMetrics(parallelism=config.parallelism)
     P = config.parallelism
-    V = config.refine_parallelism or P
-
-    def ch() -> _Channel:
-        return _Channel(config.queue_capacity, abort)
-
-    workers: list = []
-    filters: list[_FilterWorker] = []
-    collector_ch = ch()
-
-    if variant == "grid" and query.kind in ("range", "knn"):
+    metrics = RuntimeMetrics(parallelism=P)
+    if variant == "naive":
+        prefix = "worker"
+    else:
+        prefix = "join" if query.kind == "join" else "filter"
+    instances = [_Instance(f"{prefix}-{i}", query.window) for i in range(P)]
+    if query.kind == "join":
+        records = _join_records(sources, query, grid, P, variant == "grid")
+    elif variant == "grid":
         r_guar, r_cand = _layer_radii(query, grid)
         layers = grid.layer_keys(
             grid.layer_sets(grid.cell_of(query.x, query.y), r_guar, r_cand))
-        stage1_chs = [ch() for _ in range(P)]
-        refine_chs = [ch() for _ in range(V)]
-        if query.kind == "knn":
-            merge_ch = ch()
-            refine_out = merge_ch
-            collector = _Collector(collector_ch, "knn", 1, 1, metrics, callback)
-            workers.append(_MergeWorker("merge-0", merge_ch, collector_ch,
-                                        query.k, V))
-        else:
-            refine_out = collector_ch
-            collector = _Collector(collector_ch, "range", V, V, metrics,
-                                   callback)
-        for i in range(V):
-            workers.append(_RefineWorker(f"refine-{i}", refine_chs[i],
-                                         refine_out, query, P))
-        filters = [_FilterWorker(f"filter-{i}", stage1_chs[i], refine_chs,
-                                 query, query.kind == "range",
-                                 config.chunk_size)
-                   for i in range(P)]
-        workers += filters
-        router = _Router(list(sources), True, query, grid, stage1_chs,
-                         config.chunk_size, metrics, layers)
-    elif variant == "grid":
-        stage1_chs = [ch() for _ in range(P)]
-        collector = _Collector(collector_ch, "join", P, P, metrics, callback)
-        for i in range(P):
-            workers.append(_JoinWorker(f"join-{i}", stage1_chs[i],
-                                       collector_ch, query))
-        router = _Router(list(sources), True, query, grid, stage1_chs,
-                         config.chunk_size, metrics)
+        records = _point_records(sources[0], grid, P, layers)
     else:
-        stage1_chs = [ch() for _ in range(P)]
-        if query.kind == "knn":
-            merge_ch = ch()
-            out_ch = merge_ch
-            collector = _Collector(collector_ch, "knn", 1, 1, metrics, callback)
-            workers.append(_MergeWorker("merge-0", merge_ch, collector_ch,
-                                        query.k, P))
-        else:
-            out_ch = collector_ch
-            collector = _Collector(collector_ch, query.kind, P, P, metrics,
-                                   callback)
-        for i in range(P):
-            workers.append(_NaiveWorker(f"worker-{i}", stage1_chs[i],
-                                        out_ch, query))
-        router = _Router(list(sources), False, query, grid, stage1_chs,
-                         config.chunk_size, metrics)
+        records = _point_records(sources[0], grid, P, None)
+    executor = _Executor(query, instances, _evaluator(query, variant),
+                         _combiner(query), config.chunk_size, metrics,
+                         callback)
 
-    def wrap(w):
-        def run():
-            try:
-                w.loop()
-            except _Aborted:
-                pass
-            except BaseException:
-                with err_lock:
-                    errors.append((w.name, traceback.format_exc()))
-                abort.set()
-        return run
-
-    all_workers = [router, *workers, collector]
-    threads = [threading.Thread(target=wrap(w), name=w.name, daemon=True)
-               for w in all_workers]
     t0 = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        executor.run(records)
+    except Exception as exc:
+        raise PipelineError(f"pipeline aborted: {exc!r}") from exc
     metrics.wall_seconds = time.monotonic() - t0
-
-    if errors:
-        detail = "\n".join(f"--- {name} ---\n{tb}" for name, tb in errors)
-        raise PipelineError(f"pipeline aborted:\n{detail}")
-
-    for w in workers:
-        metrics.instance_tuples[w.name] = w.tuples
-        if hasattr(w, "dc"):
-            metrics.instance_distance[w.name] = w.dc
-        if isinstance(w, _WindowedWorker):
-            metrics.instance_max_pending[w.name] = w.max_pending
-    # A chained operator keeps its own records-in count: pruned points
-    # count toward the filter instance they are keyed to.
-    for f, n in zip(filters, router.pruned_records):
-        metrics.instance_tuples[f.name] += n
-    metrics.distance_computations = sum(metrics.instance_distance.values())
-    metrics.windows_fired = len(collector.results)
     if metrics.wall_seconds > 0:
         metrics.throughput_tps = metrics.consumed / metrics.wall_seconds
-    return collector.results, metrics
+    return executor.results, metrics

@@ -19,10 +19,10 @@ from __future__ import annotations
 import calendar
 import json
 import socket
-import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import isfinite
 from typing import IO, Iterable, Iterator
 
 
@@ -87,6 +87,8 @@ def parse_csv_line(line: str) -> SpatialPoint:
         x, y = float(lon), float(lat)
     except ValueError as exc:
         raise StreamFormatError(f"bad coordinate in {line!r}") from exc
+    if not (isfinite(x) and isfinite(y)):
+        raise StreamFormatError(f"non-finite coordinate in {line!r}")
     return SpatialPoint(oid, x, y, parse_timestamp(stamp))
 
 
@@ -112,9 +114,16 @@ def parse_geojson_line(line: str) -> SpatialPoint:
     if "oID" not in props or "timestamp" not in props:
         raise StreamFormatError(f"missing oID/timestamp properties in {line!r}")
     stamp = props["timestamp"]
+    if isinstance(stamp, bool):
+        raise StreamFormatError(f"bad timestamp in {line!r}")
     millis = stamp if isinstance(stamp, int) else parse_timestamp(str(stamp))
-    return SpatialPoint(str(props["oID"]), float(coords[0]), float(coords[1]),
-                        millis)
+    try:
+        x, y = float(coords[0]), float(coords[1])
+    except (TypeError, ValueError) as exc:
+        raise StreamFormatError(f"bad coordinate in {line!r}") from exc
+    if not (isfinite(x) and isfinite(y)):
+        raise StreamFormatError(f"non-finite coordinate in {line!r}")
+    return SpatialPoint(str(props["oID"]), x, y, millis)
 
 
 def format_geojson_line(p: SpatialPoint) -> str:
@@ -204,10 +213,6 @@ def read_stream(fh: IO[str], fmt: str,
                 stats: ParseStats | None = None) -> Iterator[SpatialPoint]:
     """Points from an already-open text stream (e.g. stdin); stops at EOF."""
     yield from parse_lines(fh, fmt, stats)
-
-
-def stdin_source(fmt: str, stats: ParseStats | None = None) -> Iterator[SpatialPoint]:
-    yield from read_stream(sys.stdin, fmt, stats)
 
 
 def tcp_source(host: str, port: int, fmt: str,

@@ -3,8 +3,9 @@
 Window starts are the multiples of the slide: a record at time t joins
 every window [s, s + length) with s % slide == 0, s <= t < s + length and
 s >= 0. A watermark at time w certifies no later record will carry
-t < w, so any window with end <= w can fire. Records behind the
-watermark are dropped and counted, never partially applied.
+t < w, so any window with end <= w can fire. The caller drops records
+behind the watermark whole; a windower itself drops, and counts, only a
+record whose every window has already fired.
 
 Each open window keeps its members bucketed by an opaque key (cell key
 in practice) so a consumer can visit only the buckets it cares about.
@@ -35,12 +36,6 @@ class WindowSpec:
             raise WindowError(f"length {self.length} must be >= slide {self.slide}")
         if self.lateness < 0:
             raise WindowError(f"lateness must be >= 0, got {self.lateness}")
-
-
-def window_starts(t: int, length: int, slide: int) -> list[int]:
-    """All window start times covering event time t, ascending."""
-    return list(range(earliest_start(t, length, slide),
-                      latest_start(t, slide) + 1, slide))
 
 
 def earliest_start(t: int, length: int, slide: int) -> int:
@@ -117,12 +112,9 @@ class SlidingWindower:
             raise WindowError(f"window length {self.length} must be >= slide "
                               f"{self.slide}")
 
-    def _span(self, t: int, watermark: int | None) -> tuple[int, int] | None:
-        """Window start range for t, or None (counted late) if t is behind
-        the watermark or every window it belongs to already fired."""
-        if watermark is not None and t < watermark:
-            self.late_dropped += 1
-            return None
+    def add(self, t: int, item: Any, key: Hashable = None) -> bool:
+        """Insert one record; returns False (and counts it late) if every
+        window it belongs to already fired."""
         first = earliest_start(t, self.length, self.slide)
         last = latest_start(t, self.slide)
         if self._floor is not None and first < self._floor:
@@ -131,21 +123,11 @@ class SlidingWindower:
             first = self._floor
             if first > last:
                 self.late_dropped += 1
-                return None
+                return False
         if self._next_fire is None or first < self._next_fire:
             self._next_fire = first
         if self._last_known is None or last > self._last_known:
             self._last_known = last
-        return first, last
-
-    def add(self, t: int, item: Any, key: Hashable = None,
-            watermark: int | None = None) -> bool:
-        """Insert one record; returns False (and counts it) if t is behind
-        the watermark."""
-        span = self._span(t, watermark)
-        if span is None:
-            return False
-        first, last = span
         for s in range(first, last + 1, self.slide):
             entry = self._pending.get(s)
             if entry is None:
@@ -191,9 +173,6 @@ class SlidingWindower:
         if fired:
             self._floor = s
         return fired
-
-    def pending_starts(self) -> list[int]:
-        return sorted(self._pending)
 
     def pending_count(self) -> int:
         return len(self._pending)

@@ -1,8 +1,8 @@
-"""End-to-end checks for the threaded pipeline runtime.
+"""End-to-end checks for the single-thread pipeline runtime.
 
 Every equivalence test compares pipeline output against the brute-force
-oracles, so partitioning, chunking and thread scheduling can never be
-the reason two implementations agree.
+oracles, so partitioning and chunking can never be the reason two
+implementations agree.
 """
 
 import math
@@ -228,20 +228,8 @@ def test_tiny_queue_and_chunk_do_not_change_results():
     q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
     want = expected_json("range", pts, q)
     got, _ = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
-                      PipelineConfig(parallelism=4, queue_capacity=1,
-                                     chunk_size=3))
+                      PipelineConfig(parallelism=4, chunk_size=3))
     assert got == want
-
-
-def test_refine_parallelism_override_keeps_results():
-    grid = build_grid(*EXTENT, m=30, n_bits=8)
-    pts = make_points(900, 27)
-    q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
-    want = expected_json("range", pts, q)
-    got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
-                      PipelineConfig(parallelism=2, refine_parallelism=5))
-    assert got == want
-    assert sum(1 for name in m.instance_tuples if name.startswith("refine-")) == 5
 
 
 def test_join_spreads_work_across_instances():
@@ -424,6 +412,33 @@ def test_failing_source_surfaces_as_pipeline_error():
         run_pipeline([broken()], GRID_STAGES["range"], q, grid,
                      PipelineConfig(parallelism=2))
     assert "stream cut" in str(exc.value)
+
+
+def test_callback_run_keeps_no_batches_but_counts_windows():
+    grid = build_grid(*EXTENT, m=30, n_bits=8)
+    pts = make_points(900, 37)
+    q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
+    seen = []
+    batches, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+                              PipelineConfig(parallelism=2), seen.append)
+    assert batches == []
+    assert m.windows_fired == len(window_members(pts, WINDOW)) == len(seen)
+    assert "\n".join(batch_to_json(b) for b in seen) == \
+        expected_json("range", pts, q)
+
+
+def test_failing_callback_surfaces_as_pipeline_error():
+    grid = build_grid(*EXTENT, m=9, n_bits=4)
+    pts = make_points(200, 38)
+    q = RangeQuery(45.0, 45.0, 5.0, WINDOW)
+
+    def closed_pipe(_batch):
+        raise BrokenPipeError("reader went away")
+
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+                     PipelineConfig(parallelism=2), closed_pipe)
+    assert "reader went away" in str(exc.value)
 
 
 def test_haversine_range_matches_metric_brute_force():

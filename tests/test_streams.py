@@ -110,6 +110,39 @@ def test_malformed_lines_skipped_and_counted():
     assert bad >= 100
 
 
+def test_geojson_boolean_timestamp_is_malformed():
+    line = ('{"type":"Feature",'
+            '"geometry":{"type":"Point","coordinates":[116.5,39.9]},'
+            '"properties":{"oID":"a","timestamp":true}}')
+    with pytest.raises(StreamFormatError):
+        parse_geojson_line(line)
+    stats = ParseStats()
+    assert list(parse_lines([line], "geojson", stats)) == []
+    assert stats.malformed == 1
+
+
+@pytest.mark.parametrize("fmt,line", [
+    ("csv", "1,2008-02-02 15:36:08,nan,39.9"),
+    ("csv", "1,2008-02-02 15:36:08,116.5,inf"),
+    ("csv", "1,2008-02-02 15:36:08,-Infinity,39.9"),
+    ("geojson", '{"type":"Feature","geometry":{"type":"Point",'
+                '"coordinates":[NaN,39.9]},"properties":{"oID":"a",'
+                '"timestamp":0}}'),
+    ("geojson", '{"type":"Feature","geometry":{"type":"Point",'
+                '"coordinates":[116.5,"inf"]},"properties":{"oID":"a",'
+                '"timestamp":0}}'),
+    ("geojson", '{"type":"Feature","geometry":{"type":"Point",'
+                '"coordinates":[116.5,{}]},"properties":{"oID":"a",'
+                '"timestamp":0}}'),
+])
+def test_non_finite_or_non_numeric_coordinate_is_malformed(fmt, line):
+    with pytest.raises(StreamFormatError):
+        parse_line(line, fmt)
+    stats = ParseStats()
+    assert list(parse_lines([line], fmt, stats)) == []
+    assert stats.malformed == 1
+
+
 def test_malformed_line_raises_without_stats():
     with pytest.raises(StreamFormatError):
         list(parse_lines(["not,a,point"], "csv"))
