@@ -3,15 +3,15 @@
 from .grid import (CellCoord, Grid, GridError, LayerKeys, LayerSets,
                    OutsideExtentError, build_grid, layer_params)
 from .operators import (ResultBatch, batch_to_json, euclidean, join_naive,
-                        join_per_key, join_replicate, knn_local, knn_merge,
-                        range_filter, range_naive, range_refine)
+                        join_per_key, knn_local, knn_merge, range_naive,
+                        range_refine, replicas_for)
 from .oracle import oracle_join, oracle_knn, oracle_layers, oracle_range
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, PipelineError, RangeQuery,
                       RuntimeMetrics, route_keyed, run_pipeline,
                       validate_stages)
 from .streams import (ParseStats, SpatialPoint, StreamFormatError, parse_line,
-                      parse_lines, read_stream, replay_file)
+                      parse_lines, replay_file)
 from .windows import SlidingWindower, WatermarkClock, WindowError, WindowSpec
 
 __version__ = "0.1.0"
@@ -23,9 +23,9 @@ __all__ = [
     "RangeQuery", "ResultBatch", "RuntimeMetrics", "SlidingWindower",
     "SpatialPoint", "StreamFormatError", "WatermarkClock", "WindowError",
     "WindowSpec", "batch_to_json", "build_grid", "euclidean", "join_naive",
-    "join_per_key", "join_replicate", "knn_local", "knn_merge", "layer_params",
+    "join_per_key", "knn_local", "knn_merge", "layer_params",
     "oracle_join", "oracle_knn", "oracle_layers", "oracle_range",
-    "parse_line", "parse_lines", "range_filter", "range_naive",
-    "range_refine", "read_stream", "replay_file", "route_keyed",
-    "run_pipeline", "validate_stages",
+    "parse_line", "parse_lines", "range_naive", "range_refine",
+    "replay_file", "replicas_for", "route_keyed", "run_pipeline",
+    "validate_stages",
 ]

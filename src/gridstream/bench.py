@@ -15,7 +15,6 @@ everything else uses the range query.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import hashlib
 import random
@@ -124,16 +123,15 @@ def synth_stream(path: str, n: int, bbox: Sequence[float], rate: float,
 
 
 def steady_state_throughput(metrics: RuntimeMetrics,
-                            tuples_per_second: float | None = None) -> float:
+                            tuples_per_second: float) -> float:
     """Tuples per wall second between the first and the second-to-last
     window completion, so startup and the final drain are excluded.
 
-    When the stream's tuple density (tuples per event-time second) is
-    known, progress is measured as event time completed in the interval
-    times that density; this stays meaningful even when the source is
-    fully consumed before the first window closes. Otherwise the
-    router's consumption curve is interpolated. Falls back to whole-run
-    throughput when there are too few windows to bracket an interval."""
+    Progress is measured as event time completed in the interval times
+    the stream's tuple density (tuples per event-time second); this
+    stays meaningful even when the source is fully consumed before the
+    first window closes. Falls back to whole-run throughput when there
+    are too few windows to bracket an interval."""
     cs = metrics.completion_samples
     if len(cs) < 3:
         return metrics.throughput_tps
@@ -142,28 +140,7 @@ def steady_state_throughput(metrics: RuntimeMetrics,
         # Completions bunched at the end of the run (the source drained
         # before windows closed): no steady portion to measure.
         return metrics.throughput_tps
-    if tuples_per_second is not None:
-        return (ws2 - ws1) / 1000.0 * tuples_per_second / (t2 - t1)
-    rs = metrics.router_samples
-    if len(rs) < 2:
-        return metrics.throughput_tps
-    times = [s[0] for s in rs]
-
-    def consumed_at(t: float) -> float:
-        i = bisect.bisect_right(times, t)
-        if i == 0:
-            return rs[0][1]
-        if i == len(rs):
-            return rs[-1][1]
-        (ta, ca), (tb, cb) = rs[i - 1], rs[i]
-        if tb == ta:
-            return cb
-        return ca + (cb - ca) * (t - ta) / (tb - ta)
-
-    delta = consumed_at(t2) - consumed_at(t1)
-    if delta <= 0:
-        return metrics.throughput_tps
-    return delta / (t2 - t1)
+    return (ws2 - ws1) / 1000.0 * tuples_per_second / (t2 - t1)
 
 
 def run_once(cfg: BenchConfig, kind: str, variant: str,
@@ -246,83 +223,57 @@ def _streams_for(cfg: BenchConfig, kind: str
     return s1, s2
 
 
+def bench_cell(cfg: BenchConfig, kind: str, param: str,
+               value: float | str) -> list[dict]:
+    """Run cfg.reps reps of both variants of one query on one seeded
+    stream; returns one averaged row per variant, labelled param=value.
+
+    Distance counts and result hashes must repeat exactly across reps,
+    and result hashes must agree between variants; any of these failing
+    is a bug, not noise, so it raises.
+    """
+    s1, s2 = _streams_for(cfg, kind)
+    tps: dict[str, list[float]] = {"grid": [], "naive": []}
+    dc: dict[str, int] = {}
+    hashes: dict[str, str] = {}
+    for _rep in range(cfg.reps):
+        for variant in ("grid", "naive"):
+            res = run_once(cfg, kind, variant, s1, s2)
+            tps[variant].append(res["throughput_tps"])
+            prev_dc = dc.setdefault(variant, res["distance_computations"])
+            if prev_dc != res["distance_computations"]:
+                raise RuntimeError(
+                    f"{param}={value} {variant}: distance count varied "
+                    f"across reps ({prev_dc} vs {res['distance_computations']})")
+            prev_hash = hashes.setdefault(variant, res["result_hash"])
+            if prev_hash != res["result_hash"]:
+                raise RuntimeError(
+                    f"{param}={value} {variant}: results varied across reps")
+    if hashes["grid"] != hashes["naive"]:
+        raise RuntimeError(f"{param}={value}: grid and naive results disagree")
+    ratio = (1.0 - dc["grid"] / dc["naive"]) if dc["naive"] else 0.0
+    return [{
+        "param": param,
+        "value": value,
+        "variant": variant,
+        "throughput_tps": statistics.mean(tps[variant]),
+        "distance_computations": dc[variant],
+        "pruning_ratio": ratio,
+        "result_hash": hashes[variant],
+    } for variant in ("grid", "naive")]
+
+
 def bench_axis(cfg: BenchConfig, axis: str,
                values: Sequence[float]) -> list[dict]:
-    """Sweep one axis; returns one averaged row per (value, variant).
-
-    Distance counts must repeat exactly across reps and result hashes
-    must agree between variants; either failing is a bug, not noise, so
-    it raises.
-    """
-    plan = sweep_plan(axis, values, cfg.reps, cfg)
+    """Sweep one axis; returns bench_cell's two rows per value."""
+    sweep_plan(axis, values, cfg.reps, cfg)  # rejects a bad axis or value
     field = AXES[axis]
     kind = AXIS_QUERY.get(axis, "range")
     rows: list[dict] = []
     for value in values:
         cast = int(value) if field in ("m", "window_ms", "slide_ms", "k") \
             else float(value)
-        cell_cfg = replace(cfg, **{field: cast})
-        s1, s2 = _streams_for(cell_cfg, kind)
-        tps: dict[str, list[float]] = {"grid": [], "naive": []}
-        dc: dict[str, int] = {}
-        hashes: dict[str, str] = {}
-        for run in (p for p in plan if p.value == value):
-            res = run_once(cell_cfg, kind, run.variant, s1, s2)
-            tps[run.variant].append(res["throughput_tps"])
-            prev_dc = dc.setdefault(run.variant, res["distance_computations"])
-            if prev_dc != res["distance_computations"]:
-                raise RuntimeError(
-                    f"{axis}={value} {run.variant}: distance count varied "
-                    f"across reps ({prev_dc} vs {res['distance_computations']})")
-            prev_hash = hashes.setdefault(run.variant, res["result_hash"])
-            if prev_hash != res["result_hash"]:
-                raise RuntimeError(
-                    f"{axis}={value} {run.variant}: results varied across reps")
-        if hashes["grid"] != hashes["naive"]:
-            raise RuntimeError(
-                f"{axis}={value}: grid and naive results disagree")
-        ratio = (1.0 - dc["grid"] / dc["naive"]) if dc["naive"] else 0.0
-        for variant in ("grid", "naive"):
-            rows.append({
-                "param": axis,
-                "value": value,
-                "variant": variant,
-                "throughput_tps": statistics.mean(tps[variant]),
-                "distance_computations": dc[variant],
-                "pruning_ratio": ratio,
-                "result_hash": hashes[variant],
-            })
-    return rows
-
-
-def bench_default(cfg: BenchConfig,
-                  kinds: Iterable[str] = ("range", "knn", "join")) -> list[dict]:
-    """No-sweep bench: one averaged grid/naive pair per query kind."""
-    rows: list[dict] = []
-    for kind in kinds:
-        s1, s2 = _streams_for(cfg, kind)
-        tps: dict[str, list[float]] = {"grid": [], "naive": []}
-        dc: dict[str, int] = {}
-        hashes: dict[str, str] = {}
-        for _rep in range(cfg.reps):
-            for variant in ("grid", "naive"):
-                res = run_once(cfg, kind, variant, s1, s2)
-                tps[variant].append(res["throughput_tps"])
-                dc[variant] = res["distance_computations"]
-                hashes[variant] = res["result_hash"]
-        if hashes["grid"] != hashes["naive"]:
-            raise RuntimeError(f"{kind}: grid and naive results disagree")
-        ratio = (1.0 - dc["grid"] / dc["naive"]) if dc["naive"] else 0.0
-        for variant in ("grid", "naive"):
-            rows.append({
-                "param": "query",
-                "value": kind,
-                "variant": variant,
-                "throughput_tps": statistics.mean(tps[variant]),
-                "distance_computations": dc[variant],
-                "pruning_ratio": ratio,
-                "result_hash": hashes[variant],
-            })
+        rows += bench_cell(replace(cfg, **{field: cast}), kind, axis, value)
     return rows
 
 

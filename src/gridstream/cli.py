@@ -24,7 +24,7 @@ from .operators import batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, PipelineError, RangeQuery,
                       run_pipeline)
-from .streams import (ParseStats, SpatialPoint, read_stream, replay_file,
+from .streams import (ParseStats, SpatialPoint, parse_lines, replay_file,
                       tcp_source)
 from .windows import WindowError, WindowSpec
 
@@ -103,7 +103,7 @@ def _open_source(args, path: str | None, stats: ParseStats
         return replay_file(path, args.format, args.replay_speed, args.loop,
                            stats)
     if src == "stdin":
-        return read_stream(sys.stdin, args.format, stats)
+        return parse_lines(sys.stdin, args.format, stats)
     if src.startswith("tcp:"):
         try:
             port = int(src[4:])
@@ -164,8 +164,8 @@ def _run_query(args, kind: str) -> int:
 
 def _run_bench(args) -> int:
     # bench and synth import modules a query never needs; load them late.
-    from .bench import (BenchConfig, bench_axis, bench_default,
-                        write_bench_csv, write_plot_data)
+    from .bench import (BenchConfig, bench_axis, bench_cell, write_bench_csv,
+                        write_plot_data)
     cfg = BenchConfig(
         bbox=args.bbox, m=args.grid, n_bits=args.nbits, r=args.r,
         window_ms=args.window_size_ms, slide_ms=args.window_slide_ms,
@@ -176,7 +176,8 @@ def _run_bench(args) -> int:
         axis, values = args.sweep
         rows = bench_axis(cfg, axis, values)
     else:
-        rows = bench_default(cfg)
+        rows = [row for kind in ("range", "knn", "join")
+                for row in bench_cell(cfg, kind, "query", kind)]
     out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out \
         else sys.stdout
     try:

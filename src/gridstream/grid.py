@@ -93,18 +93,26 @@ class Grid:
     def contains(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
-    def cell_of(self, x: float, y: float) -> CellCoord:
-        """Cell containing (x, y); the top/right extent edges fold into the
-        last row/column."""
+    def key_of(self, x: float, y: float) -> int | None:
+        """Encoded key of the cell containing (x, y), or None when the
+        point lies outside the extent (a NaN coordinate included); the
+        top/right extent edges fold into the last row/column."""
         if not (self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y):
-            raise OutsideExtentError(f"point ({x}, {y}) outside grid extent")
+            return None
         xi = int((x - self.min_x) / self.cell_len)
         yi = int((y - self.min_y) / self.cell_len)
         if xi >= self.x_cells:
             xi = self.x_cells - 1
         if yi >= self.y_cells:
             yi = self.y_cells - 1
-        return CellCoord(xi, yi)
+        return (xi << self.n_bits) | yi
+
+    def cell_of(self, x: float, y: float) -> CellCoord:
+        """Cell containing (x, y), as key_of maps it."""
+        key = self.key_of(x, y)
+        if key is None:
+            raise OutsideExtentError(f"point ({x}, {y}) outside grid extent")
+        return CellCoord(key >> self.n_bits, key & ((1 << self.n_bits) - 1))
 
     def _check_coord(self, coord: CellCoord) -> None:
         x, y = coord

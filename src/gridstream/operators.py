@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .grid import Grid, LayerKeys
+from .grid import LayerKeys
 from .streams import SpatialPoint
 
 RankedPoint = tuple[SpatialPoint, float]
@@ -34,20 +34,6 @@ def euclidean(ax: float, ay: float, bx: float, by: float) -> float:
 def rank_key(item: RankedPoint) -> tuple:
     p, d = item
     return (d, p.object_id, p.event_time, p.x, p.y)
-
-
-def range_filter(points: Iterable[SpatialPoint],
-                 layers: LayerKeys) -> tuple[list[SpatialPoint], list[SpatialPoint]]:
-    """Split points by their cell into guaranteed and candidate buckets;
-    points in any other cell are dropped. No distances computed here."""
-    guaranteed: list[SpatialPoint] = []
-    candidates: list[SpatialPoint] = []
-    for p in points:
-        if p.cell in layers.candidate:
-            candidates.append(p)
-        elif p.cell in layers.guaranteed:
-            guaranteed.append(p)
-    return guaranteed, candidates
 
 
 def range_refine(guaranteed: Iterable[SpatialPoint],
@@ -118,19 +104,12 @@ class Replica(NamedTuple):
     point: SpatialPoint
 
 
-def join_replicate(q_point: SpatialPoint, grid: Grid, r: float) -> list[Replica]:
-    """Copy a query point to every cell that could hold its neighbors.
+def replicas_for(keys: LayerKeys, q_point: SpatialPoint) -> list[Replica]:
+    """Copy a query point to every cell of its layer keys.
 
     Copies to guaranteed cells join without distance checks; copies to
     candidate cells (the point's own cell among them) join by distance.
     """
-    coord = (grid.decode_key(q_point.cell) if q_point.cell is not None
-             else grid.cell_of(q_point.x, q_point.y))
-    keys = grid.layer_keys(grid.layer_sets(coord, r))
-    return replicas_for(keys, q_point)
-
-
-def replicas_for(keys: LayerKeys, q_point: SpatialPoint) -> list[Replica]:
     out = [Replica(cell, True, q_point) for cell in keys.guaranteed]
     out += [Replica(cell, False, q_point) for cell in keys.candidate]
     return out

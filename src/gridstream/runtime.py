@@ -21,13 +21,14 @@ makes output independent of parallelism.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterator
 
 from .geo import degree_radius_bounds, haversine_m
-from .grid import Grid, LayerKeys, OutsideExtentError
+from .grid import Grid, LayerKeys
 from .operators import (Distance, ResultBatch, euclidean, join_naive,
                         join_per_key, knn_local, knn_merge, range_naive,
                         range_refine, replicas_for)
@@ -69,20 +70,18 @@ def route_keyed(cell: int, n_bits: int, p: int) -> int:
     return fnv1a64(format(cell, f"0{2 * n_bits}b").encode("ascii")) % p
 
 
-class RoundRobin:
-    """Per-sender rebalance counter; every sender cycles independently."""
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
 
-    __slots__ = ("p", "i")
+    __slots__ = ("fn",)
 
-    def __init__(self, p: int):
-        self.p = p
-        self.i = 0
+    def __init__(self, fn: Callable[[Any], Any]):
+        super().__init__()
+        self.fn = fn
 
-    def next(self) -> int:
-        i = self.i
-        nxt = i + 1
-        self.i = 0 if nxt == self.p else nxt
-        return i
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 _METRICS = ("euclidean", "haversine")
@@ -198,7 +197,6 @@ class RuntimeMetrics:
     instance_tuples: dict[str, int] = field(default_factory=dict)
     instance_distance: dict[str, int] = field(default_factory=dict)
     instance_max_pending: dict[str, int] = field(default_factory=dict)
-    router_samples: list[tuple[float, int]] = field(default_factory=list)
     completion_samples: list[tuple[float, int]] = field(default_factory=list)
 
     def summary(self) -> dict:
@@ -225,9 +223,9 @@ class RuntimeMetrics:
         for name in sorted(self.instance_max_pending):
             rows.append((name, "max_pending_windows",
                          self.instance_max_pending[name]))
-        rows.append(("collector", "windows_fired", self.windows_fired))
-        rows.append(("collector", "pruned_members", self.pruned_members))
-        rows.append(("collector", "distance_total", self.distance_computations))
+        rows.append(("pipeline", "windows_fired", self.windows_fired))
+        rows.append(("pipeline", "pruned_members", self.pruned_members))
+        rows.append(("pipeline", "distance_total", self.distance_computations))
         return rows
 
 
@@ -244,46 +242,29 @@ def _point_records(source: Iterator[SpatialPoint], grid: Grid, u: int,
     (True = guaranteed, False = candidate) given layer keys, else
     rebalanced round-robin."""
     if layers is None:
-        rr = RoundRobin(u)
+        rr = itertools.cycle(range(u))
         for p in source:
             if not grid.contains(p.x, p.y):
                 yield (p.event_time, None)
                 continue
-            yield (p.event_time, ((rr.next(), None, p),))
+            yield (p.event_time, ((next(rr), None, p),))
         return
     # Cell key -> True (guaranteed) / False (candidate); a key that is
     # absent is pruned.
     layer = dict.fromkeys(layers.guaranteed, True)
     layer.update(dict.fromkeys(layers.candidate, False))
-    # Inlined Grid.cell_of (same division, same edge folding): this loop
-    # runs once per consumed tuple.
-    cache: dict[int, int] = {}
-    n_bits = grid.n_bits
-    min_x, min_y = grid.min_x, grid.min_y
-    max_x, max_y = grid.max_x, grid.max_y
-    cell_len = grid.cell_len
-    xi_top, yi_top = grid.x_cells - 1, grid.y_cells - 1
+    dest = _Memo(lambda key: route_keyed(key, grid.n_bits, u))
+    key_of = grid.key_of
     for p in source:
-        x, y = p.x, p.y
-        if not (min_x <= x <= max_x and min_y <= y <= max_y):
+        key = key_of(p.x, p.y)
+        if key is None:
             yield (p.event_time, None)
             continue
-        xi = int((x - min_x) / cell_len)
-        yi = int((y - min_y) / cell_len)
-        if xi > xi_top:
-            xi = xi_top
-        if yi > yi_top:
-            yi = yi_top
-        key = (xi << n_bits) | yi
-        dest = cache.get(key)
-        if dest is None:
-            dest = route_keyed(key, n_bits, u)
-            cache[key] = dest
         flag = layer.get(key)
         if flag is None:
-            yield (p.event_time, ((dest, None, None),))
+            yield (p.event_time, ((dest[key], None, None),))
         else:
-            yield (p.event_time, ((dest, flag, p),))
+            yield (p.event_time, ((dest[key], flag, p),))
 
 
 def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
@@ -293,7 +274,6 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
     instance as (False, replica), bucketed by cell. Naive: ordinary
     points are rebalanced, query points broadcast, bucketed by stream
     (True = ordinary)."""
-    n_bits = grid.n_bits
 
     def tagged(src, idx):
         for seq, p in enumerate(src):
@@ -303,44 +283,28 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
     # interleaving is a pure function of the inputs.
     merged = heapq.merge(tagged(sources[0], 0), tagged(sources[1], 1))
     if not keyed:
-        rr = RoundRobin(u)
+        rr = itertools.cycle(range(u))
         for t, src, _seq, p in merged:
             if not grid.contains(p.x, p.y):
                 yield (t, None)
             elif src == 0:
-                yield (t, ((rr.next(), True, p),))
+                yield (t, ((next(rr), True, p),))
             else:
                 yield (t, ((_BROADCAST, False, p),))
         return
-    dest_cache: dict[int, int] = {}
-    layer_cache: dict = {}
     r_guar, r_cand = _layer_radii(query, grid)
+    dest = _Memo(lambda key: route_keyed(key, grid.n_bits, u))
+    layer_keys = _Memo(lambda key: grid.layer_keys(
+        grid.layer_sets(grid.decode_key(key), r_guar, r_cand)))
     for t, src, _seq, p in merged:
-        try:
-            coord = grid.cell_of(p.x, p.y)
-        except OutsideExtentError:
+        key = grid.key_of(p.x, p.y)
+        if key is None:
             yield (t, None)
-            continue
-        if src == 0:
-            key = (coord[0] << n_bits) | coord[1]
-            dest = dest_cache.get(key)
-            if dest is None:
-                dest = route_keyed(key, n_bits, u)
-                dest_cache[key] = dest
-            yield (t, ((dest, key, (True, p)),))
+        elif src == 0:
+            yield (t, ((dest[key], key, (True, p)),))
         else:
-            keys = layer_cache.get(coord)
-            if keys is None:
-                keys = grid.layer_keys(grid.layer_sets(coord, r_guar, r_cand))
-                layer_cache[coord] = keys
-            placements = []
-            for rep in replicas_for(keys, p):
-                dest = dest_cache.get(rep.cell)
-                if dest is None:
-                    dest = route_keyed(rep.cell, n_bits, u)
-                    dest_cache[rep.cell] = dest
-                placements.append((dest, rep.cell, (False, rep)))
-            yield (t, tuple(placements))
+            yield (t, tuple((dest[rep.cell], rep.cell, (False, rep))
+                            for rep in replicas_for(layer_keys[key], p)))
 
 
 def _join_buckets(w: WindowInstance, r: float,
@@ -486,9 +450,7 @@ class _Executor:
                 if last_wm is None or wm > last_wm:
                     self._fire(wm, first_start, max_start)
                     last_wm = wm
-                metrics.router_samples.append((time.monotonic(), consumed))
 
-        metrics.router_samples.append((time.monotonic(), consumed))
         self._fire(_FOREVER, first_start, max_start)
         for inst, n in zip(instances, tuples):
             metrics.instance_tuples[inst.name] = n

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class StreamFormatError(ValueError):
@@ -32,21 +32,12 @@ class StreamFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SpatialPoint:
-    """One observation of a moving object.
-
-    ``cell`` is filled in by the partitioner once the point is mapped
-    onto a grid; it travels with the point so downstream operators never
-    recompute it.
-    """
+    """One observation of a moving object."""
 
     object_id: str
     x: float
     y: float
     event_time: int
-    cell: int | None = None
-
-    def with_cell(self, cell: int) -> "SpatialPoint":
-        return SpatialPoint(self.object_id, self.x, self.y, self.event_time, cell)
 
 
 def parse_timestamp(text: str) -> int:
@@ -207,12 +198,6 @@ def replay_file(path: str, fmt: str, speed: float = 0.0, loop_count: int = 1,
         if last_time is None or first_time is None:
             break
         offset = last_time + 1 - first_time
-
-
-def read_stream(fh: IO[str], fmt: str,
-                stats: ParseStats | None = None) -> Iterator[SpatialPoint]:
-    """Points from an already-open text stream (e.g. stdin); stops at EOF."""
-    yield from parse_lines(fh, fmt, stats)
 
 
 def tcp_source(host: str, port: int, fmt: str,

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridstream
 from gridstream.bench import BENCH_HEADER
 from gridstream.cli import main
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
@@ -152,6 +157,10 @@ def test_metrics_csv_has_per_instance_rows(tmp_path):
     assert sum(v for n, v in tuples.items() if n.startswith("filter-")) == \
         by_counter["routed"]["router"]
     assert "windows_fired" in by_counter
+    stage_one = {"filter-0", "filter-1", "filter-2"}
+    assert {name for name, _c, _v in rows[1:]} == \
+        {"router", "pipeline"} | stage_one
+    assert by_counter["windows_fired"].keys() == {"pipeline"}
 
 
 def test_join_without_query_input_fails(tmp_path):
@@ -198,3 +207,34 @@ def test_bench_rejects_unknown_axis(tmp_path):
     rc = main(["bench", "--n", "500", "--sweep", "speed:1,2",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_bench_without_sweep_reports_every_query_kind(tmp_path):
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--n", "1500", "--reps", "2", "--parallelism", "2",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["value"], r["variant"]) for r in rows] == \
+        [(kind, variant) for kind in ("range", "knn", "join")
+         for variant in ("grid", "naive")]
+    assert {r["param"] for r in rows} == {"query"}
+    for grid_row, naive_row in zip(rows[::2], rows[1::2]):
+        assert grid_row["result_hash"] == naive_row["result_hash"]
+
+
+def test_cli_import_skips_bench_modules_and_exports_resolve():
+    # A query launch pays for every module the CLI imports at start-up;
+    # the bench harness and its stdlib dependencies load only for
+    # bench and synth.
+    src = str(Path(gridstream.__file__).resolve().parents[1])
+    code = ("import sys, gridstream.cli\n"
+            "print(' '.join(m for m in ('gridstream.bench', 'statistics',"
+            " 'hashlib', 'csv') if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+    assert [n for n in gridstream.__all__ if not hasattr(gridstream, n)] == []

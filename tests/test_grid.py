@@ -114,6 +114,36 @@ def test_keys_match_point_cells():
         assert x0 <= x <= x1 and y0 <= y <= y1
 
 
+@pytest.mark.parametrize("extent, m", [((0.0, 0.0, 90.0, 90.0), 9),
+                                       ((115.5, 39.6, 117.6, 41.1), 150)])
+def test_key_of_matches_encoded_cell(extent, m):
+    g = build_grid(*extent, m, 8)
+    x0, y0, x1, y1 = extent
+    rng = random.Random(44)
+    points = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(1000)]
+    # the top and right edges fold into the last row and column
+    points += [(x1, rng.uniform(y0, y1)) for _ in range(50)]
+    points += [(rng.uniform(x0, x1), y1) for _ in range(50)]
+    for x, y in points:
+        assert g.key_of(x, y) == g.encode_key(g.cell_of(x, y)), (x, y)
+    top_x, top_y = g.x_cells - 1, g.y_cells - 1
+    corners = {(x0, y0): (0, 0), (x1, y0): (top_x, 0),
+               (x0, y1): (0, top_y), (x1, y1): (top_x, top_y)}
+    for (x, y), coord in corners.items():
+        assert g.key_of(x, y) == g.encode_key(g.cell_of(x, y))
+        assert g.key_of(x, y) == g.encode_key(CellCoord(*coord)), (x, y)
+
+
+def test_key_of_is_none_outside_and_for_nan():
+    g = build_grid(0.0, 0.0, 90.0, 90.0, 9, 4)
+    eps = 1e-9
+    for x, y in ((-eps, 45.0), (90.0 + eps, 45.0), (45.0, -eps),
+                 (45.0, 90.0 + eps), (math.nan, 45.0), (45.0, math.nan)):
+        assert g.key_of(x, y) is None, (x, y)
+        with pytest.raises(OutsideExtentError):
+            g.cell_of(x, y)
+
+
 def _brute_ring(grid, coord, n):
     return {CellCoord(x, y)
             for x in range(grid.x_cells)

@@ -9,8 +9,8 @@ from gridstream.geo import METERS_PER_DEGREE, degree_radius_bounds, haversine_m
 from gridstream.grid import CellCoord, build_grid
 from gridstream.operators import (Replica, ResultBatch, batch_to_json,
                                   euclidean, join_naive, join_per_key,
-                                  join_replicate, knn_local, knn_merge,
-                                  range_filter, range_naive, range_refine)
+                                  knn_local, knn_merge, range_naive,
+                                  range_refine, replicas_for)
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
 from gridstream.streams import SpatialPoint
 
@@ -34,19 +34,34 @@ def test_euclidean_matches_reference():
         assert got == euclidean(bx, by, ax, ay)
 
 
-def _keyed(grid, oid, x, y, t=0):
-    p = _pt(oid, x, y, t)
-    return p.with_cell(grid.encode_key(grid.cell_of(x, y)))
+def _split_by_layer(grid, points, layers):
+    """Guaranteed and candidate points by the router's test: the key
+    key_of gives, looked up in the layer keys; other points are pruned."""
+    guaranteed, candidates = [], []
+    for p in points:
+        key = grid.key_of(p.x, p.y)
+        if key in layers.guaranteed:
+            guaranteed.append(p)
+        elif key in layers.candidate:
+            candidates.append(p)
+    return guaranteed, candidates
 
 
-def test_range_filter_buckets():
+def _replicas(grid, q, r):
+    """A query point's replicas, through the calls the join router makes."""
+    coord = grid.decode_key(grid.key_of(q.x, q.y))
+    return replicas_for(grid.layer_keys(grid.layer_sets(coord, r)), q)
+
+
+def test_layer_keys_split_points_by_cell():
     grid = build_grid(0.0, 0.0, 90.0, 90.0, 9, 4)
     layers = grid.layer_keys(grid.layer_sets(CellCoord(4, 4), 30.0))
-    ring1 = _keyed(grid, "g", 35.0, 45.0)  # cell (3,4), ring 1: guaranteed
-    own = _keyed(grid, "c", 45.0, 45.0)    # query cell itself: candidate
-    ring3 = _keyed(grid, "c3", 15.0, 45.0)  # cell (1,4), ring 3: candidate
-    far = _keyed(grid, "x", 85.0, 5.0)     # ring 4: discarded
-    guaranteed, candidates = range_filter([ring1, own, ring3, far], layers)
+    ring1 = _pt("g", 35.0, 45.0)  # cell (3,4), ring 1: guaranteed
+    own = _pt("c", 45.0, 45.0)    # query cell itself: candidate
+    ring3 = _pt("c3", 15.0, 45.0)  # cell (1,4), ring 3: candidate
+    far = _pt("x", 85.0, 5.0)     # ring 4: pruned
+    guaranteed, candidates = _split_by_layer(grid, [ring1, own, ring3, far],
+                                             layers)
     assert [p.object_id for p in guaranteed] == ["g"]
     assert [p.object_id for p in candidates] == ["c", "c3"]
 
@@ -78,11 +93,11 @@ def test_range_naive_counter_is_window_size():
 def test_grid_range_equals_oracle_on_random_window():
     rng = random.Random(31)
     grid = build_grid(0.0, 0.0, 100.0, 100.0, 20, 8)
-    pts = [_keyed(grid, i, rng.uniform(0, 100), rng.uniform(0, 100))
+    pts = [_pt(i, rng.uniform(0, 100), rng.uniform(0, 100))
            for i in range(10_000)]
     qx, qy, r = 47.3, 52.9, 11.0
     layers = grid.layer_keys(grid.layer_sets(grid.cell_of(qx, qy), r))
-    guaranteed, candidates = range_filter(pts, layers)
+    guaranteed, candidates = _split_by_layer(grid, pts, layers)
     out, dc = range_refine(guaranteed, candidates, qx, qy, r)
     naive_out, naive_dc = range_naive(pts, qx, qy, r)
     want = oracle_range(pts, qx, qy, r)
@@ -139,10 +154,10 @@ def test_knn_merge_partition_invariance():
     assert knn_merge(partials, 10) == oracle_knn(pts, 50.0, 50.0, 45.0, 10)
 
 
-def test_join_replicate_interior_counts():
+def test_replicas_interior_counts():
     grid = build_grid(0.0, 0.0, 90.0, 90.0, 9, 4)
     q = _pt("q", 45.0, 45.0)  # interior cell (4,4)
-    reps = join_replicate(q, grid, 30.0)
+    reps = _replicas(grid, q, 30.0)
     tags = [rep.guaranteed for rep in reps]
     assert tags.count(True) == 8
     assert tags.count(False) == 41
@@ -150,17 +165,17 @@ def test_join_replicate_interior_counts():
     assert all(rep.point is q for rep in reps)
 
 
-def test_join_replicate_small_radius_all_candidate():
+def test_replicas_small_radius_all_candidate():
     grid = build_grid(0.0, 0.0, 90.0, 90.0, 9, 4)
-    reps = join_replicate(_pt("q", 45.0, 45.0), grid, 5.0)
+    reps = _replicas(grid, _pt("q", 45.0, 45.0), 5.0)
     assert all(not rep.guaranteed for rep in reps)
     assert len(reps) == 9  # own cell plus ring 1
 
 
-def test_join_replicate_corner_smaller():
+def test_replicas_corner_smaller():
     grid = build_grid(0.0, 0.0, 90.0, 90.0, 9, 4)
-    corner = join_replicate(_pt("q", 1.0, 1.0), grid, 30.0)
-    interior = join_replicate(_pt("q", 45.0, 45.0), grid, 30.0)
+    corner = _replicas(grid, _pt("q", 1.0, 1.0), 30.0)
+    interior = _replicas(grid, _pt("q", 45.0, 45.0), 30.0)
     assert len(corner) < len(interior)
 
 
@@ -215,17 +230,17 @@ def test_join_per_key_empty_bucket():
 def test_join_per_key_matches_oracle():
     rng = random.Random(43)
     grid = build_grid(0.0, 0.0, 100.0, 100.0, 10, 8)
-    s1 = [_keyed(grid, f"p{i}", rng.uniform(0, 100), rng.uniform(0, 100))
+    s1 = [_pt(f"p{i}", rng.uniform(0, 100), rng.uniform(0, 100))
           for i in range(1000)]
-    s2 = [_keyed(grid, f"q{i}", rng.uniform(0, 100), rng.uniform(0, 100))
+    s2 = [_pt(f"q{i}", rng.uniform(0, 100), rng.uniform(0, 100))
           for i in range(10)]
     r = 12.0
     buckets: dict = {}
     for p in s1:
-        buckets.setdefault(p.cell, []).append(p)
+        buckets.setdefault(grid.key_of(p.x, p.y), []).append(p)
     reps: dict = {}
     for q in s2:
-        for rep in join_replicate(q, grid, r):
+        for rep in _replicas(grid, q, r):
             reps.setdefault(rep.cell, []).append(rep)
     pairs: set = set()
     for cell, cell_reps in reps.items():

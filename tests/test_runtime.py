@@ -23,7 +23,6 @@ from gridstream.runtime import (
     PipelineConfig,
     PipelineError,
     RangeQuery,
-    RoundRobin,
     route_keyed,
     run_pipeline,
     validate_stages,
@@ -108,17 +107,18 @@ def test_route_keyed_balances_uniform_load():
     assert max(counts) / min(counts) <= 1.25
 
 
-def test_round_robin_cycles_evenly():
-    rr = RoundRobin(3)
-    seen = [rr.next() for _ in range(7)]
-    assert seen == [0, 1, 2, 0, 1, 2, 0]
-
-
-def test_round_robin_per_sender_counters_are_independent():
-    a, b = RoundRobin(4), RoundRobin(4)
-    assert [a.next(), a.next()] == [0, 1]
-    assert b.next() == 0
-    assert a.next() == 2
+def test_naive_rebalance_spreads_records_evenly():
+    grid = build_grid(*EXTENT, m=9, n_bits=4)
+    pts = make_points(1000, 5)
+    qpts = make_points(40, 6, t_step=1000, prefix="q")
+    for q, sources in ((RangeQuery(45.0, 45.0, 5.0, WINDOW), [pts]),
+                       (KnnQuery(45.0, 45.0, 5.0, 3, WINDOW), [pts]),
+                       (JoinQuery(5.0, WINDOW), [pts, qpts])):
+        _, m = run_pipeline([iter(s) for s in sources], NAIVE_STAGES[q.kind],
+                            q, grid, PipelineConfig(parallelism=3))
+        loads = [m.instance_tuples[f"worker-{i}"] for i in range(3)]
+        assert max(loads) - min(loads) <= 1, (q.kind, loads)
+        assert sum(loads) == m.routed, q.kind
 
 
 # ------------------------------------------------------------- validation
@@ -456,4 +456,52 @@ def test_haversine_range_matches_metric_brute_force():
     assert got == "\n".join(lines)
     naive, mn = run_json([iter(pts)], NAIVE_STAGES["range"], q, grid)
     assert naive == got
+    assert m.distance_computations < mn.distance_computations
+
+
+HAVERSINE_EXTENT = (116.0, 39.0, 117.0, 40.0)
+
+
+def test_haversine_knn_matches_metric_brute_force():
+    grid = build_grid(*HAVERSINE_EXTENT, m=40, n_bits=8)
+    pts = make_points(800, 39, extent=HAVERSINE_EXTENT)
+    q = KnnQuery(116.5, 39.5, 15000.0, 5, WINDOW, metric="haversine")
+    lines = []
+    for s, members in window_members(pts, WINDOW):
+        ranked = sorted(((p, haversine_m(p.x, p.y, q.x, q.y))
+                         for p in members),
+                        key=lambda pd: (pd[1], pd[0].object_id,
+                                        pd[0].event_time, pd[0].x, pd[0].y))
+        hit = [(p, d) for p, d in ranked if d <= q.r][:q.k]
+        lines.append(batch_to_json(ResultBatch(s, s + WINDOW.length,
+                                               "knn", hit)))
+    want = "\n".join(lines)
+    for stages in (GRID_STAGES["knn"], NAIVE_STAGES["knn"]):
+        got, _ = run_json([iter(pts)], stages, q, grid,
+                          PipelineConfig(parallelism=2))
+        assert got == want, stages
+
+
+def test_haversine_join_matches_metric_brute_force():
+    # At r = 15 km the layers hold guaranteed rings, so the replicas come
+    # from both of the haversine layer radii.
+    grid = build_grid(*HAVERSINE_EXTENT, m=40, n_bits=8)
+    pts = make_points(800, 40, extent=HAVERSINE_EXTENT)
+    qpts = make_points(60, 41, extent=HAVERSINE_EXTENT, t_step=500,
+                       prefix="q")
+    q = JoinQuery(15000.0, WINDOW, metric="haversine")
+    lines = []
+    for s, members in window_members(pts, WINDOW):
+        end = s + WINDOW.length
+        pairs = {(p.object_id, o.object_id) for p in members for o in qpts
+                 if s <= o.event_time < end
+                 and haversine_m(p.x, p.y, o.x, o.y) <= q.r}
+        lines.append(batch_to_json(ResultBatch(s, end, "join", pairs)))
+    want = "\n".join(lines)
+    got, m = run_json([iter(pts), iter(qpts)], GRID_STAGES["join"], q, grid,
+                      PipelineConfig(parallelism=2))
+    assert got == want
+    naive, mn = run_json([iter(pts), iter(qpts)], NAIVE_STAGES["join"], q,
+                         grid, PipelineConfig(parallelism=2))
+    assert naive == want
     assert m.distance_computations < mn.distance_computations

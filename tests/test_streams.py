@@ -151,8 +151,7 @@ def test_malformed_line_raises_without_stats():
 def test_keys_consistent_with_grid():
     grid = build_grid(115.5, 39.6, 117.6, 41.1, 150, 8)
     p = parse_csv_line("1,2008-02-02 15:36:08,116.51172,39.92123")
-    keyed = p.with_cell(grid.encode_key(grid.cell_of(p.x, p.y)))
-    assert grid.decode_key(keyed.cell) == grid.cell_of(p.x, p.y)
+    assert grid.decode_key(grid.key_of(p.x, p.y)) == grid.cell_of(p.x, p.y)
 
 
 def test_replay_file_order_and_count(tmp_path):
