@@ -12,7 +12,7 @@ from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       validate_stages)
 from .streams import (ParseStats, SpatialPoint, StreamFormatError, parse_line,
                       parse_lines, replay_file)
-from .windows import SlidingWindower, WatermarkClock, WindowError, WindowSpec
+from .windows import SlidingWindower, WindowError, WindowSpec
 
 __version__ = "0.1.0"
 
@@ -21,8 +21,8 @@ __all__ = [
     "JoinQuery", "KnnQuery", "LayerKeys", "LayerSets", "NAIVE_STAGES",
     "OutsideExtentError", "ParseStats", "PipelineConfig", "PipelineError",
     "RangeQuery", "ResultBatch", "RuntimeMetrics", "SlidingWindower",
-    "SpatialPoint", "StreamFormatError", "WatermarkClock", "WindowError",
-    "WindowSpec", "batch_to_json", "build_grid", "euclidean", "join_naive",
+    "SpatialPoint", "StreamFormatError", "WindowError", "WindowSpec",
+    "batch_to_json", "build_grid", "euclidean", "join_naive",
     "join_per_key", "knn_local", "knn_merge", "layer_params",
     "oracle_join", "oracle_knn", "oracle_layers", "oracle_range",
     "parse_line", "parse_lines", "range_naive", "range_refine",

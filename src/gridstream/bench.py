@@ -7,10 +7,11 @@ steady-state throughput, distance-computation counts, the pruning ratio
 canonical per-window results. The hash must agree between variants, so
 every benchmark doubles as a correctness check.
 
-Sweeps vary exactly one parameter axis, run each cell three times, and
-average. The query exercised depends on the axis: the query-stream rate
-axis only makes sense for the join, the k axis for nearest neighbors,
-everything else uses the range query.
+Sweeps vary exactly one parameter axis, run each cell three times,
+taking the cells in turn rep by rep, and report the median. The query
+exercised depends on the axis: the query-stream rate axis only makes
+sense for the join, the k axis for nearest neighbors, everything else
+uses the range query.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ def steady_state_throughput(metrics: RuntimeMetrics,
     stays meaningful even when the source is fully consumed before the
     first window closes. Falls back to whole-run throughput when there
     are too few windows to bracket an interval."""
-    cs = metrics.completion_samples
-    if len(cs) < 3:
+    if metrics.windows_fired < 3:
         return metrics.throughput_tps
-    (t1, ws1), (t2, ws2) = cs[0], cs[-2]
+    (t1, ws1), (t2, ws2) = (metrics.first_completion,
+                            metrics.penultimate_completion)
     if t2 - t1 < max(0.05, 0.1 * metrics.wall_seconds):
         # Completions bunched at the end of the run (the source drained
         # before windows closed): no steady portion to measure.
@@ -181,35 +182,6 @@ def run_once(cfg: BenchConfig, kind: str, variant: str,
     }
 
 
-@dataclass(frozen=True)
-class PlannedRun:
-    param: str
-    value: float
-    variant: str
-    rep: int
-
-
-def sweep_plan(axis: str, values: Sequence[float], reps: int = 3,
-               base: BenchConfig = BenchConfig()) -> list[PlannedRun]:
-    """Expand one sweep axis into an ordered run list, reps per cell."""
-    if axis not in AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; "
-                          f"choose from {sorted(AXES)}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    for v in values:
-        if axis == "slide" and v > base.window_ms:
-            raise ConfigError(f"slide {v} exceeds window size {base.window_ms}")
-        if axis == "window" and v < base.slide_ms:
-            raise ConfigError(f"window {v} below slide {base.slide_ms}")
-        if v <= 0:
-            raise ConfigError(f"sweep value must be positive, got {v}")
-    return [PlannedRun(axis, v, variant, rep)
-            for v in values
-            for rep in range(reps)
-            for variant in ("grid", "naive")]
-
-
 def _streams_for(cfg: BenchConfig, kind: str
                  ) -> tuple[list[SpatialPoint], list[SpatialPoint] | None]:
     s1 = synth_points(cfg.s1_n, cfg.bbox, cfg.s1_rate, cfg.seed,
@@ -223,58 +195,100 @@ def _streams_for(cfg: BenchConfig, kind: str
     return s1, s2
 
 
-def bench_cell(cfg: BenchConfig, kind: str, param: str,
-               value: float | str) -> list[dict]:
-    """Run cfg.reps reps of both variants of one query on one seeded
-    stream; returns one averaged row per variant, labelled param=value.
+def _stream_key(cfg: BenchConfig, kind: str) -> tuple:
+    """The fields _streams_for reads, so cells that would draw the same
+    streams share one copy."""
+    s1 = (cfg.s1_n, cfg.bbox, cfg.s1_rate, cfg.seed, cfg.distribution)
+    return s1 + ((cfg.s2_rate,) if kind == "join" else ())
+
+
+def bench_cells(cells: Sequence[tuple[BenchConfig, str, str, float | str]],
+                reps: int) -> list[dict]:
+    """Run reps reps of both variants of each (cfg, kind, param, value) cell;
+    returns one row per cell and variant, labelled param=value, holding
+    the median throughput of its reps.
+
+    Reps run round-robin over the cells (rep 0 of every cell, then rep
+    1, ...), so a drift in host speed during the run lands on every
+    cell alike instead of on whichever cell ran last.
 
     Distance counts and result hashes must repeat exactly across reps,
     and result hashes must agree between variants; any of these failing
     is a bug, not noise, so it raises.
     """
-    s1, s2 = _streams_for(cfg, kind)
-    tps: dict[str, list[float]] = {"grid": [], "naive": []}
-    dc: dict[str, int] = {}
-    hashes: dict[str, str] = {}
-    for _rep in range(cfg.reps):
-        for variant in ("grid", "naive"):
-            res = run_once(cfg, kind, variant, s1, s2)
-            tps[variant].append(res["throughput_tps"])
-            prev_dc = dc.setdefault(variant, res["distance_computations"])
-            if prev_dc != res["distance_computations"]:
-                raise RuntimeError(
-                    f"{param}={value} {variant}: distance count varied "
-                    f"across reps ({prev_dc} vs {res['distance_computations']})")
-            prev_hash = hashes.setdefault(variant, res["result_hash"])
-            if prev_hash != res["result_hash"]:
-                raise RuntimeError(
-                    f"{param}={value} {variant}: results varied across reps")
-    if hashes["grid"] != hashes["naive"]:
-        raise RuntimeError(f"{param}={value}: grid and naive results disagree")
-    ratio = (1.0 - dc["grid"] / dc["naive"]) if dc["naive"] else 0.0
-    return [{
-        "param": param,
-        "value": value,
-        "variant": variant,
-        "throughput_tps": statistics.mean(tps[variant]),
-        "distance_computations": dc[variant],
-        "pruning_ratio": ratio,
-        "result_hash": hashes[variant],
-    } for variant in ("grid", "naive")]
+    streams: dict[tuple, tuple] = {}
+    for cfg, kind, _param, _value in cells:
+        key = _stream_key(cfg, kind)
+        if key not in streams:
+            streams[key] = _streams_for(cfg, kind)
+    n = len(cells)
+    tps: list[dict[str, list[float]]] = [{"grid": [], "naive": []}
+                                         for _ in range(n)]
+    dc: list[dict[str, int]] = [{} for _ in range(n)]
+    hashes: list[dict[str, str]] = [{} for _ in range(n)]
+    for _rep in range(reps):
+        for i, (cfg, kind, param, value) in enumerate(cells):
+            s1, s2 = streams[_stream_key(cfg, kind)]
+            for variant in ("grid", "naive"):
+                res = run_once(cfg, kind, variant, s1, s2)
+                tps[i][variant].append(res["throughput_tps"])
+                prev_dc = dc[i].setdefault(variant,
+                                           res["distance_computations"])
+                if prev_dc != res["distance_computations"]:
+                    raise RuntimeError(
+                        f"{param}={value} {variant}: distance count varied "
+                        f"across reps ({prev_dc} vs "
+                        f"{res['distance_computations']})")
+                prev_hash = hashes[i].setdefault(variant, res["result_hash"])
+                if prev_hash != res["result_hash"]:
+                    raise RuntimeError(
+                        f"{param}={value} {variant}: results varied "
+                        f"across reps")
+    rows: list[dict] = []
+    for i, (_cfg, _kind, param, value) in enumerate(cells):
+        if hashes[i]["grid"] != hashes[i]["naive"]:
+            raise RuntimeError(
+                f"{param}={value}: grid and naive results disagree")
+        g, nv = dc[i]["grid"], dc[i]["naive"]
+        ratio = (1.0 - g / nv) if nv else 0.0
+        rows += [{
+            "param": param,
+            "value": value,
+            "variant": variant,
+            "throughput_tps": statistics.median(tps[i][variant]),
+            "distance_computations": dc[i][variant],
+            "pruning_ratio": ratio,
+            "result_hash": hashes[i][variant],
+        } for variant in ("grid", "naive")]
+    return rows
 
 
 def bench_axis(cfg: BenchConfig, axis: str,
                values: Sequence[float]) -> list[dict]:
-    """Sweep one axis; returns bench_cell's two rows per value."""
-    sweep_plan(axis, values, cfg.reps, cfg)  # rejects a bad axis or value
+    """Sweep one axis; returns bench_cells' two rows per value.
+
+    Raises ConfigError for an unknown axis or a bad value before any run.
+    """
+    if axis not in AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; "
+                          f"choose from {sorted(AXES)}")
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    for v in values:
+        if axis == "slide" and v > cfg.window_ms:
+            raise ConfigError(f"slide {v} exceeds window size {cfg.window_ms}")
+        if axis == "window" and v < cfg.slide_ms:
+            raise ConfigError(f"window {v} below slide {cfg.slide_ms}")
+        if v <= 0:
+            raise ConfigError(f"sweep value must be positive, got {v}")
     field = AXES[axis]
     kind = AXIS_QUERY.get(axis, "range")
-    rows: list[dict] = []
+    cells = []
     for value in values:
         cast = int(value) if field in ("m", "window_ms", "slide_ms", "k") \
             else float(value)
-        rows += bench_cell(replace(cfg, **{field: cast}), kind, axis, value)
-    return rows
+        cells.append((replace(cfg, **{field: cast}), kind, axis, value))
+    return bench_cells(cells, cfg.reps)
 
 
 def write_bench_csv(rows: Iterable[dict], fh: IO[str]) -> None:

@@ -84,7 +84,10 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
                    help="radius in coordinate units (meters with --haversine)")
     p.add_argument("--window-size-ms", type=int, default=10000)
     p.add_argument("--window-slide-ms", type=int, default=5000)
-    p.add_argument("--lateness-ms", type=int, default=0)
+    p.add_argument("--lateness-ms", type=int, default=0,
+                   help="allowed disorder: a record is dropped as late when "
+                        "its time is below the largest time seen minus this, "
+                        "or below 0 (default 0)")
     p.add_argument("--parallelism", type=int, default=4)
     p.add_argument("--naive", action="store_true",
                    help="run the no-index variant instead of the grid pipeline")
@@ -164,7 +167,7 @@ def _run_query(args, kind: str) -> int:
 
 def _run_bench(args) -> int:
     # bench and synth import modules a query never needs; load them late.
-    from .bench import (BenchConfig, bench_axis, bench_cell, write_bench_csv,
+    from .bench import (BenchConfig, bench_axis, bench_cells, write_bench_csv,
                         write_plot_data)
     cfg = BenchConfig(
         bbox=args.bbox, m=args.grid, n_bits=args.nbits, r=args.r,
@@ -176,8 +179,8 @@ def _run_bench(args) -> int:
         axis, values = args.sweep
         rows = bench_axis(cfg, axis, values)
     else:
-        rows = [row for kind in ("range", "knn", "join")
-                for row in bench_cell(cfg, kind, "query", kind)]
+        rows = bench_cells([(cfg, kind, "query", kind)
+                            for kind in ("range", "knn", "join")], cfg.reps)
     out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out \
         else sys.stdout
     try:

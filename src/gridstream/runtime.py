@@ -10,12 +10,16 @@ the router: a point in a pruned cell is counted toward its windows and
 credited to the filter instance its key routes to, but never windowed,
 so filters hold only guaranteed and candidate points.
 
-Every chunk_size records the router re-reads the watermark. When it has
-risen, every instance fires up to it, given the globally observed first
-and last window starts so all instances fire the exact same window
-sequence, empty windows included. One function then combines each
-window's per-instance partial results into a single ResultBatch, which
-makes output independent of parallelism.
+The router owns event time. The watermark is the largest accepted event
+time minus the allowed lateness, never below 0, the first window start;
+it is evaluated on every record, and a record behind it is dropped as
+late, so a record with t < 0 always is. After each accepted record that
+lifts the watermark past the end of the earliest unfired window, every
+instance fires up to it, given the globally observed first and last
+window starts so all instances fire the exact same window sequence,
+empty windows included. One function then combines each window's
+per-instance partial results into a single ResultBatch, which makes
+output independent of parallelism.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .operators import (Distance, ResultBatch, euclidean, join_naive,
                         join_per_key, knn_local, knn_merge, range_naive,
                         range_refine, replicas_for)
 from .streams import SpatialPoint
-from .windows import (SlidingWindower, WatermarkClock, WindowInstance,
-                      WindowSpec, earliest_start, latest_start)
+from .windows import (SlidingWindower, WindowInstance, WindowSpec,
+                      earliest_start, latest_start)
 
 KEYED = "keyed-by-cell"
 REBALANCE = "rebalance"
@@ -167,17 +171,15 @@ NAIVE_STAGES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """parallelism is the number of stage-one instances; chunk_size is
-    the number of records consumed between watermark evaluations."""
+    """parallelism is the number of stage-one instances."""
 
     parallelism: int = 1
-    chunk_size: int = 512
+    # Read only by perfbench's traced replay; goes with ROADMAP item 4.
+    chunk_size: ClassVar[int] = 512
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass
@@ -197,7 +199,11 @@ class RuntimeMetrics:
     instance_tuples: dict[str, int] = field(default_factory=dict)
     instance_distance: dict[str, int] = field(default_factory=dict)
     instance_max_pending: dict[str, int] = field(default_factory=dict)
-    completion_samples: list[tuple[float, int]] = field(default_factory=list)
+    # (monotonic time, window start) of the first and the second-to-last
+    # fired window: all bench.steady_state_throughput reads, kept O(1)
+    # so an unbounded source does not grow them.
+    first_completion: tuple[float, int] | None = None
+    penultimate_completion: tuple[float, int] | None = None
 
     def summary(self) -> dict:
         return {
@@ -369,48 +375,47 @@ class _Instance:
 class _Executor:
     """The router loop and the window firing it drives.
 
-    The late check compares against the watermark most recently
-    evaluated, so every instance holds that watermark when a record
-    reaches it. Because watermark cadence is counted in records, not
-    routed items, the grid and naive variants of a query make identical
-    drop decisions on identical input.
+    The watermark is evaluated on every record, and a record is late iff
+    its event time is below it. Late decisions therefore depend only on
+    the event times in consumption order and the lateness, so the grid
+    and naive variants of a query drop the same records on the same
+    input, at any parallelism.
 
     A pruned point still passes the late check and drives the watermark
     and window-start hints like any other record; it is counted as
     routed, credited to its instance, and counted once per window it
-    belongs to (pruned_members). That count is exact by arithmetic: the
-    late check guarantees none of a passed record's windows has fired
-    yet, so every window from its earliest to its latest start fires
+    belongs to (pruned_members). That count is exact by arithmetic: an
+    accepted record has t >= watermark, so none of its windows has fired
+    yet, and every window from its earliest to its latest start fires
     later.
     """
 
     def __init__(self, query: Query, instances: list[_Instance],
                  evaluate: Callable[[WindowInstance], tuple[Any, int]],
-                 combine: Callable[[list], Any], chunk_size: int,
-                 metrics: RuntimeMetrics,
+                 combine: Callable[[list], Any], metrics: RuntimeMetrics,
                  callback: Callable[[ResultBatch], None] | None):
         self.query = query
         self.instances = instances
         self.evaluate = evaluate
         self.combine = combine
-        self.chunk_size = chunk_size
         self.metrics = metrics
         self.callback = callback
         self.results: list[ResultBatch] = []
+        self._last_completion: tuple[float, int] | None = None
 
     def run(self, records) -> None:
         metrics = self.metrics
         w = self.query.window
-        length, slide = w.length, w.slide
-        clock = WatermarkClock(w.lateness)
-        observe = clock.observe
+        length, slide, lateness = w.length, w.slide, w.lateness
         instances = self.instances
         u = len(instances)
         adders = [inst.windower.add for inst in instances]
         tuples = [0] * u
-        chunk_size = self.chunk_size
-        consumed = routed = dropped = late = since = pruned_members = 0
-        last_wm: int | None = None
+        consumed = routed = dropped = late = pruned_members = 0
+        watermark = 0
+        # End of the earliest window not yet fired; none before the
+        # first accepted record.
+        next_end: float = _FOREVER
         first_start: int | None = None
         max_start: int | None = None
 
@@ -419,14 +424,16 @@ class _Executor:
             if placements is None:
                 dropped += 1
                 continue
-            if last_wm is not None and t < last_wm:
+            if t < watermark:
                 late += 1
                 continue
-            observe(t)
             es = earliest_start(t, length, slide)
             ls = latest_start(t, slide)
             if first_start is None or es < first_start:
+                # Only before the first firing: afterwards every accepted
+                # record starts at or past the earliest unfired window.
                 first_start = es
+                next_end = es + length
             if max_start is None or ls > max_start:
                 max_start = ls
             for dest, key, item in placements:
@@ -439,17 +446,15 @@ class _Executor:
                 tuples[dest] += 1
                 routed += 1
                 if item is None:
-                    if ls >= es:  # false only for t < 0: no window
-                        pruned_members += (ls - es) // slide + 1
+                    pruned_members += (ls - es) // slide + 1
                 else:
                     adders[dest](t, item, key)
-            since += 1
-            if since >= chunk_size:
-                since = 0
-                wm = clock.watermark
-                if last_wm is None or wm > last_wm:
-                    self._fire(wm, first_start, max_start)
-                    last_wm = wm
+            if t - lateness > watermark:
+                watermark = t - lateness
+                if watermark >= next_end:
+                    self._fire(watermark, first_start, max_start)
+                    next_end = earliest_start(watermark, length,
+                                              slide) + length
 
         self._fire(_FOREVER, first_start, max_start)
         for inst, n in zip(instances, tuples):
@@ -478,6 +483,7 @@ class _Executor:
             fired.append(windower.fire_ready(watermark, first_start,
                                              max_start))
         kind = self.query.kind
+        metrics = self.metrics
         for group in zip(*fired, strict=True):
             partials = []
             for inst, w in zip(self.instances, group):
@@ -487,9 +493,12 @@ class _Executor:
             first = group[0]
             batch = ResultBatch(first.start, first.end, kind,
                                 self.combine(partials))
-            self.metrics.windows_fired += 1
-            self.metrics.completion_samples.append((time.monotonic(),
-                                                    first.start))
+            metrics.windows_fired += 1
+            sample = (time.monotonic(), first.start)
+            if metrics.first_completion is None:
+                metrics.first_completion = sample
+            metrics.penultimate_completion = self._last_completion
+            self._last_completion = sample
             if self.callback is None:
                 self.results.append(batch)
             else:
@@ -549,8 +558,7 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
     else:
         records = _point_records(sources[0], grid, P, None)
     executor = _Executor(query, instances, _evaluator(query, variant),
-                         _combiner(query), config.chunk_size, metrics,
-                         callback)
+                         _combiner(query), metrics, callback)
 
     t0 = time.monotonic()
     try:

@@ -3,9 +3,9 @@
 Window starts are the multiples of the slide: a record at time t joins
 every window [s, s + length) with s % slide == 0, s <= t < s + length and
 s >= 0. A watermark at time w certifies no later record will carry
-t < w, so any window with end <= w can fire. The caller drops records
-behind the watermark whole; a windower itself drops, and counts, only a
-record whose every window has already fired.
+t < w, so any window with end <= w can fire. The caller owns the
+watermark and drops every record behind it, so a record a windower is
+given never belongs to a window it has already fired.
 
 Each open window keeps its members bucketed by an opaque key (cell key
 in practice) so a consumer can visit only the buckets it cares about.
@@ -63,28 +63,6 @@ class WindowInstance:
             yield from bucket
 
 
-class WatermarkClock:
-    """Tracks max event time seen; watermark = max - allowed lateness."""
-
-    __slots__ = ("lateness", "_max_time")
-
-    def __init__(self, lateness: int = 0):
-        if lateness < 0:
-            raise WindowError(f"lateness must be >= 0, got {lateness}")
-        self.lateness = lateness
-        self._max_time: int | None = None
-
-    def observe(self, t: int) -> None:
-        if self._max_time is None or t > self._max_time:
-            self._max_time = t
-
-    @property
-    def watermark(self) -> int | None:
-        if self._max_time is None:
-            return None
-        return self._max_time - self.lateness
-
-
 @dataclass
 class SlidingWindower:
     """Assigns records to sliding windows and fires them in start order.
@@ -99,11 +77,10 @@ class SlidingWindower:
 
     length: int
     slide: int
-    late_dropped: int = 0
     _pending: dict[int, list] = field(default_factory=dict)
     _next_fire: int | None = None
     _last_known: int | None = None
-    _floor: int | None = None
+    _fired: bool = False
 
     def __post_init__(self) -> None:
         if self.slide <= 0:
@@ -112,18 +89,11 @@ class SlidingWindower:
             raise WindowError(f"window length {self.length} must be >= slide "
                               f"{self.slide}")
 
-    def add(self, t: int, item: Any, key: Hashable = None) -> bool:
-        """Insert one record; returns False (and counts it late) if every
-        window it belongs to already fired."""
+    def add(self, t: int, item: Any, key: Hashable = None) -> None:
+        """Insert one record into every window covering t. The caller
+        guarantees none of those windows has fired."""
         first = earliest_start(t, self.length, self.slide)
         last = latest_start(t, self.slide)
-        if self._floor is not None and first < self._floor:
-            # Windows below the floor already fired; apply to the rest,
-            # or count the record late if none remain.
-            first = self._floor
-            if first > last:
-                self.late_dropped += 1
-                return False
         if self._next_fire is None or first < self._next_fire:
             self._next_fire = first
         if self._last_known is None or last > self._last_known:
@@ -139,7 +109,6 @@ class SlidingWindower:
                 entry[1][key] = [item]
             else:
                 bucket.append(item)
-        return True
 
     def fire_ready(self, watermark: int, first_start: int | None = None,
                    max_start: int | None = None) -> list[WindowInstance]:
@@ -150,7 +119,7 @@ class SlidingWindower:
         it empty. Once anything has fired the first_start hint is inert:
         every start it could name was already emitted exactly once.
         """
-        if first_start is not None and self._floor is None and (
+        if first_start is not None and not self._fired and (
                 self._next_fire is None or first_start < self._next_fire):
             self._next_fire = first_start
         if max_start is not None and (self._last_known is None
@@ -171,7 +140,7 @@ class SlidingWindower:
             s += self.slide
         self._next_fire = s
         if fired:
-            self._floor = s
+            self._fired = True
         return fired
 
     def pending_count(self) -> int:

@@ -1,17 +1,16 @@
-"""Benchmark harness: sweep planning, synthetic data, measured rows."""
+"""Benchmark harness: sweep checks, synthetic data, measured rows."""
 
 import io
 import statistics
 
 import pytest
 
+from gridstream import bench
 from gridstream.bench import (
     AXES,
     BENCH_HEADER,
     BenchConfig,
-    PlannedRun,
     bench_axis,
-    sweep_plan,
     synth_points,
     write_bench_csv,
     write_plot_data,
@@ -20,26 +19,53 @@ from gridstream.grid import build_grid
 from gridstream.runtime import ConfigError
 
 
-def test_sweep_plan_covers_reps_and_variants():
-    plan = sweep_plan("r", [0.01, 0.02], reps=3)
-    assert len(plan) == 2 * 3 * 2
-    assert plan[0] == PlannedRun("r", 0.01, "grid", 0)
-    assert sum(1 for p in plan if p.value == 0.02 and p.variant == "naive") == 3
-    assert {p.rep for p in plan} == {0, 1, 2}
+def test_bench_axis_rejects_bad_sweeps_before_any_run(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a run started before the sweep was checked")
 
-
-def test_sweep_plan_rejections():
+    monkeypatch.setattr(bench, "run_once", no_run)
     base = BenchConfig()
-    with pytest.raises(ConfigError):
-        sweep_plan("velocity", [1.0])
-    with pytest.raises(ConfigError):
-        sweep_plan("r", [])
-    with pytest.raises(ConfigError):
-        sweep_plan("r", [0.01, -0.5])
-    with pytest.raises(ConfigError):
-        sweep_plan("slide", [base.window_ms * 2], base=base)
-    with pytest.raises(ConfigError):
-        sweep_plan("window", [base.slide_ms // 2], base=base)
+    for axis, values in (("velocity", [1.0]),
+                         ("r", []),
+                         ("r", [0.01, -0.5]),
+                         ("slide", [base.window_ms * 2]),
+                         ("window", [base.slide_ms // 2])):
+        with pytest.raises(ConfigError):
+            bench_axis(base, axis, values)
+
+
+def _scripted_runs(monkeypatch, tps_by_call):
+    """Replace run_once; returns the (r, variant) list of calls made.
+    The n-th call reports tps_by_call[n] (default 1000.0)."""
+    calls = []
+
+    def fake_run(cfg, kind, variant, s1, s2=None):
+        tps = tps_by_call.get(len(calls), 1000.0)
+        calls.append((cfg.r, variant))
+        return {"variant": variant, "throughput_tps": tps,
+                "distance_computations": 1 if variant == "grid" else 4,
+                "result_hash": "h"}
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    return calls
+
+
+def test_bench_axis_takes_turns_rep_by_rep(monkeypatch):
+    calls = _scripted_runs(monkeypatch, {})
+    bench_axis(BenchConfig(s1_n=50, reps=2), "r", [0.01, 0.02, 0.03])
+    one_rep = [(r, v) for r in (0.01, 0.02, 0.03) for v in ("grid", "naive")]
+    assert calls == one_rep * 2
+
+
+def test_bench_axis_reports_the_median_rep(monkeypatch):
+    # One stalled rep: call 2 is rep 1's grid run. It would pull a mean
+    # of the three grid reps down to 667.
+    _scripted_runs(monkeypatch, {2: 1.0})
+    rows = bench_axis(BenchConfig(s1_n=50, reps=3), "r", [0.01])
+    by_variant = {row["variant"]: row for row in rows}
+    assert by_variant["grid"]["throughput_tps"] == 1000.0
+    assert by_variant["naive"]["throughput_tps"] == 1000.0
+    assert by_variant["grid"]["pruning_ratio"] == pytest.approx(0.75)
 
 
 def test_synth_points_deterministic_and_monotone():

@@ -1,10 +1,11 @@
 """End-to-end checks for the single-thread pipeline runtime.
 
 Every equivalence test compares pipeline output against the brute-force
-oracles, so partitioning and chunking can never be the reason two
-implementations agree.
+oracles, so partitioning can never be the reason two implementations
+agree.
 """
 
+import heapq
 import math
 import random
 
@@ -45,9 +46,41 @@ def make_points(n, seed, extent=EXTENT, t_step=40, prefix="p"):
     ]
 
 
-def window_members(pts, window):
-    """Expected (start, members) pairs for every window the run fires."""
-    times = [p.event_time for p in pts]
+def jittered(pts, seed, spread=1500):
+    """pts with each event time moved by up to +-spread ms: out of order,
+    and the first records have negative times."""
+    rng = random.Random(seed)
+    return [SpatialPoint(p.object_id, p.x, p.y,
+                         p.event_time + rng.randint(-spread, spread))
+            for p in pts]
+
+
+def consumption_order(pts, query_pts=None):
+    """Records in the order the runtime consumes them: a join merges its
+    two streams by (event time, stream, position)."""
+    if query_pts is None:
+        return list(pts)
+    return [p for *_, p in heapq.merge(
+        ((p.event_time, 0, i, p) for i, p in enumerate(pts)),
+        ((p.event_time, 1, i, p) for i, p in enumerate(query_pts)))]
+
+
+def keep_in_time(records, lateness):
+    """The records an event-time watermark keeps: t >= max(largest
+    earlier t - lateness, 0)."""
+    kept, high = [], None
+    for p in records:
+        if p.event_time >= max(0 if high is None else high - lateness, 0):
+            kept.append(p)
+        high = p.event_time if high is None else max(high, p.event_time)
+    return kept
+
+
+def window_members(pts, window, span=None):
+    """Expected (start, members) pairs for every window the run fires:
+    from the first window of the earliest time in span (default pts) to
+    the last window of the latest."""
+    times = [p.event_time for p in (pts if span is None else span)]
     first = earliest_start(min(times), window.length, window.slide)
     last = latest_start(max(times), window.slide)
     out = []
@@ -59,7 +92,8 @@ def window_members(pts, window):
 def expected_json(kind, pts, query, query_pts=None):
     """Canonical JSON lines straight from the oracles, one per window."""
     lines = []
-    for s, members in window_members(pts, query.window):
+    span = list(pts) + list(query_pts or ())
+    for s, members in window_members(pts, query.window, span):
         end = s + query.window.length
         if kind == "range":
             payload = oracle_range(members, query.x, query.y, query.r)
@@ -222,16 +256,6 @@ def test_naive_distance_count_is_exhaustive():
     assert m.distance_computations == want
 
 
-def test_tiny_queue_and_chunk_do_not_change_results():
-    grid = build_grid(*EXTENT, m=30, n_bits=8)
-    pts = make_points(900, 26)
-    q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
-    want = expected_json("range", pts, q)
-    got, _ = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
-                      PipelineConfig(parallelism=4, chunk_size=3))
-    assert got == want
-
-
 def test_join_spreads_work_across_instances():
     grid = build_grid(*EXTENT, m=30, n_bits=8)
     pts = make_points(600, 28)
@@ -301,7 +325,7 @@ def test_grid_and_naive_drop_the_same_late_records():
     # pruned records would differ between the variants.
     for q in (RangeQuery(40.0, 50.0, 4.0, w), KnnQuery(40.0, 50.0, 4.0, 3, w)):
         for p in (1, 4):
-            cfg = PipelineConfig(parallelism=p, chunk_size=16)
+            cfg = PipelineConfig(parallelism=p)
             got, mg = run_json([iter(pts)], GRID_STAGES[q.kind], q, grid, cfg)
             want, mn = run_json([iter(pts)], NAIVE_STAGES[q.kind], q, grid,
                                 cfg)
@@ -309,6 +333,92 @@ def test_grid_and_naive_drop_the_same_late_records():
             assert mg.late_dropped == mn.late_dropped, (q.kind, p)
             assert mg.routed == mn.routed, (q.kind, p)
             assert got == want, (q.kind, p)
+
+
+def test_out_of_order_runs_match_the_event_time_reference():
+    # The reference keeps a record iff its time is not below the
+    # watermark of the records before it, then applies the oracles; the
+    # grid and naive variants must match it at every parallelism.
+    grid = build_grid(*EXTENT, m=30, n_bits=8)
+    pts = jittered(make_points(1500, 42), 43)
+    qpts = jittered(make_points(120, 44, t_step=500, prefix="q"), 45)
+    w = WindowSpec(length=7000, slide=2000, lateness=300)
+    for q, query_pts in ((RangeQuery(40.0, 50.0, 8.0, w), None),
+                         (KnnQuery(40.0, 50.0, 8.0, 4, w), None),
+                         (JoinQuery(4.0, w), qpts)):
+        kept = keep_in_time(consumption_order(pts, query_pts), w.lateness)
+        assert len(kept) < len(pts) + len(query_pts or ()), q.kind
+        kept_p = [p for p in kept if p.object_id.startswith("p")]
+        kept_q = None if query_pts is None else \
+            [p for p in kept if p.object_id.startswith("q")]
+        want = expected_json(q.kind, kept_p, q, kept_q)
+        sources = [pts] if query_pts is None else [pts, query_pts]
+        for stages in (GRID_STAGES[q.kind], NAIVE_STAGES[q.kind]):
+            for p in (1, 3):
+                got, _ = run_json([iter(s) for s in sources], stages, q,
+                                  grid, PipelineConfig(parallelism=p))
+                assert got == want, (q.kind, stages, p)
+
+
+def test_out_of_order_haversine_range_matches_metric_brute_force():
+    grid = build_grid(*HAVERSINE_EXTENT, m=20, n_bits=8)
+    pts = jittered(make_points(800, 46, extent=HAVERSINE_EXTENT), 47)
+    w = WindowSpec(length=7000, slide=2000, lateness=300)
+    q = RangeQuery(116.5, 39.5, 3000.0, w, metric="haversine")
+    kept = keep_in_time(pts, w.lateness)
+    assert len(kept) < len(pts)
+    lines = []
+    for s, members in window_members(kept, w):
+        hit = {p for p in members if haversine_m(p.x, p.y, q.x, q.y) <= q.r}
+        lines.append(batch_to_json(ResultBatch(s, s + w.length, "range",
+                                               hit)))
+    want = "\n".join(lines)
+    for stages in (GRID_STAGES["range"], NAIVE_STAGES["range"]):
+        for p in (1, 3):
+            got, _ = run_json([iter(pts)], stages, q, grid,
+                              PipelineConfig(parallelism=p))
+            assert got == want, (stages, p)
+
+
+def test_every_record_lands_in_one_counter():
+    grid = build_grid(*EXTENT, m=30, n_bits=8)
+    outliers = [SpatialPoint(f"po{i}", 95.0, -4.0, 3000 + 500 * i)
+                for i in range(5)]
+    shifts = {
+        "ordered": lambda pts, seed: pts,
+        "jittered": jittered,
+        "negative": lambda pts, seed: [
+            SpatialPoint(p.object_id, p.x, p.y, p.event_time - 3000)
+            for p in pts],
+    }
+    w = WindowSpec(length=7000, slide=2000, lateness=300)
+    for name, shift in shifts.items():
+        # Out-of-extent records never drive the watermark, so their
+        # times do not make an input out of order.
+        pts = shift(make_points(600, 48), 49) + outliers
+        qpts = shift(make_points(50, 50, t_step=480, prefix="q"), 51)
+        for q, query_pts in ((RangeQuery(40.0, 50.0, 8.0, w), None),
+                             (KnnQuery(40.0, 50.0, 8.0, 4, w), None),
+                             (JoinQuery(4.0, w), qpts)):
+            accepted = len(keep_in_time(
+                [p for p in consumption_order(pts, query_pts)
+                 if grid.contains(p.x, p.y)], w.lateness))
+            sources = [pts] if query_pts is None else [pts, query_pts]
+            for stages in (GRID_STAGES[q.kind], NAIVE_STAGES[q.kind]):
+                for p in (1, 3):
+                    _, m = run_pipeline([iter(s) for s in sources], stages,
+                                        q, grid, PipelineConfig(parallelism=p))
+                    ctx = (name, q.kind, stages, p)
+                    assert m.consumed == sum(map(len, sources)), ctx
+                    assert m.dropped_outside == len(outliers), ctx
+                    assert m.consumed == (m.dropped_outside + m.late_dropped
+                                          + accepted), ctx
+                    if q.kind != "join":
+                        assert m.routed == accepted, ctx
+                    if name == "ordered":
+                        assert m.late_dropped == 0, ctx
+                    else:
+                        assert m.late_dropped > 0, ctx
 
 
 def test_points_outside_extent_are_dropped_and_counted():
@@ -335,7 +445,7 @@ def test_late_records_are_dropped_whole():
     survivors = pts[:2]
     want = expected_json("range", survivors, q)
     got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
-                      PipelineConfig(parallelism=2, chunk_size=1))
+                      PipelineConfig(parallelism=2))
     assert got == want
     assert m.late_dropped == 1
     assert m.routed == 2
@@ -350,7 +460,7 @@ def test_lateness_bound_keeps_slow_records():
     q = RangeQuery(45.0, 45.0, 20.0, w)
     want = expected_json("range", pts, q)
     got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
-                      PipelineConfig(parallelism=2, chunk_size=1))
+                      PipelineConfig(parallelism=2))
     assert got == want
     assert m.late_dropped == 0
 
@@ -361,7 +471,7 @@ def test_pending_windows_stay_bounded():
     w = WindowSpec(length=20000, slide=4000)
     q = RangeQuery(45.0, 45.0, 10.0, w)
     _, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
-                        PipelineConfig(parallelism=2, chunk_size=1))
+                        PipelineConfig(parallelism=2))
     bound = math.ceil(w.length / w.slide) + 1
     assert m.instance_max_pending
     for name, worst in m.instance_max_pending.items():
@@ -425,6 +535,22 @@ def test_callback_run_keeps_no_batches_but_counts_windows():
     assert m.windows_fired == len(window_members(pts, WINDOW)) == len(seen)
     assert "\n".join(batch_to_json(b) for b in seen) == \
         expected_json("range", pts, q)
+
+
+def test_callback_run_holds_bounded_metrics():
+    # One 40 ms tumbling window per point: 1,200 windows, none kept, and
+    # no metric may grow with them.
+    grid = build_grid(*EXTENT, m=9, n_bits=4)
+    pts = make_points(1200, 52)
+    q = RangeQuery(45.0, 45.0, 5.0, WindowSpec(length=40, slide=40))
+    _, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+                        PipelineConfig(parallelism=2), lambda batch: None)
+    assert m.windows_fired == 1200
+    for name, value in vars(m).items():
+        if isinstance(value, (list, dict, tuple)):
+            assert len(value) <= 2, name
+    assert m.first_completion[1] == 0
+    assert m.penultimate_completion[1] == 1198 * 40
 
 
 def test_failing_callback_surfaces_as_pipeline_error():

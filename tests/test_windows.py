@@ -1,11 +1,11 @@
-"""Sliding window assignment, watermark clock, firing discipline."""
+"""Sliding window assignment and firing discipline."""
 
 import random
 
 import pytest
 
-from gridstream.windows import (SlidingWindower, WatermarkClock, WindowError,
-                                WindowSpec, earliest_start, latest_start)
+from gridstream.windows import (SlidingWindower, WindowError, WindowSpec,
+                                earliest_start, latest_start)
 
 
 def window_starts(t, length, slide):
@@ -53,34 +53,6 @@ def test_window_spec_validation():
         WindowSpec(5000, 10000)
     with pytest.raises(WindowError):
         WindowSpec(10000, 5000, lateness=-1)
-
-
-def test_watermark_clock_monotone_on_shuffled_trace():
-    rng = random.Random(5)
-    times = [rng.randrange(0, 100000) for _ in range(500)]
-    clock = WatermarkClock(lateness=2000)
-    seen_max = None
-    last = None
-    for t in times:
-        clock.observe(t)
-        seen_max = t if seen_max is None else max(seen_max, t)
-        wm = clock.watermark
-        assert wm == seen_max - 2000
-        if last is not None:
-            assert wm >= last
-        last = wm
-
-
-def test_watermark_clock_values():
-    clock = WatermarkClock()
-    assert clock.watermark is None
-    clock.observe(20000)
-    assert clock.watermark == 20000
-    clock.observe(19000)
-    assert clock.watermark == 20000
-    lagged = WatermarkClock(2000)
-    lagged.observe(20000)
-    assert lagged.watermark == 18000
 
 
 def test_fire_membership_matches_enumeration():
@@ -157,15 +129,6 @@ def test_fire_hint_does_not_refire():
     again = w.fire_ready(16000, 0, 5000)
     assert [f.start for f in again] == [5000]
     assert w.fire_ready(16000, 0, 5000) == []
-
-
-def test_add_behind_fired_windows_dropped():
-    w = SlidingWindower(10000, 5000)
-    w.add(1000, "a")
-    w.fire_ready(30000)
-    # both windows covering t=2000 ([0,10k) and [5000,15k)) already fired
-    assert not w.add(2000, "stale")
-    assert w.late_dropped == 1
 
 
 def test_pending_accounting():
