@@ -20,11 +20,12 @@ import csv
 import hashlib
 import random
 import statistics
+import time
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
 from .grid import DEFAULT_BBOX, build_grid
-from .operators import batch_to_json
+from .operators import ResultBatch, batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, RangeQuery, RuntimeMetrics,
                       run_pipeline)
@@ -123,7 +124,26 @@ def synth_stream(path: str, n: int, bbox: Sequence[float], rate: float,
     return len(pts)
 
 
-def steady_state_throughput(metrics: RuntimeMetrics,
+class Completions:
+    """A run_pipeline callback that keeps the batches and stamps
+    (monotonic time, window start) of the first and the second-to-last
+    fired window, the bracket steady_state_throughput reads."""
+
+    def __init__(self) -> None:
+        self.batches: list[ResultBatch] = []
+        self.first: tuple[float, int] | None = None
+        self.penultimate: tuple[float, int] | None = None
+        self._last: tuple[float, int] | None = None
+
+    def __call__(self, batch: ResultBatch) -> None:
+        sample = (time.monotonic(), batch.window_start)
+        if self.first is None:
+            self.first = sample
+        self.penultimate, self._last = self._last, sample
+        self.batches.append(batch)
+
+
+def steady_state_throughput(metrics: RuntimeMetrics, done: Completions,
                             tuples_per_second: float) -> float:
     """Tuples per wall second between the first and the second-to-last
     window completion, so startup and the final drain are excluded.
@@ -135,8 +155,7 @@ def steady_state_throughput(metrics: RuntimeMetrics,
     are too few windows to bracket an interval."""
     if metrics.windows_fired < 3:
         return metrics.throughput_tps
-    (t1, ws1), (t2, ws2) = (metrics.first_completion,
-                            metrics.penultimate_completion)
+    (t1, ws1), (t2, ws2) = done.first, done.penultimate
     if t2 - t1 < max(0.05, 0.1 * metrics.wall_seconds):
         # Completions bunched at the end of the run (the source drained
         # before windows closed): no steady portion to measure.
@@ -165,15 +184,16 @@ def run_once(cfg: BenchConfig, kind: str, variant: str,
     else:
         raise ValueError(f"unknown query kind {kind!r}")
     stages = (GRID_STAGES if variant == "grid" else NAIVE_STAGES)[kind]
-    batches, metrics = run_pipeline(
+    done = Completions()
+    _, metrics = run_pipeline(
         sources, stages, query, grid,
-        PipelineConfig(parallelism=cfg.parallelism))
+        PipelineConfig(parallelism=cfg.parallelism), done)
     digest = hashlib.sha256(
-        "\n".join(batch_to_json(b) for b in batches).encode()).hexdigest()
+        "\n".join(batch_to_json(b) for b in done.batches).encode()).hexdigest()
     density = cfg.s1_rate + (cfg.s2_rate if kind == "join" else 0.0)
     return {
         "variant": variant,
-        "throughput_tps": steady_state_throughput(metrics, density),
+        "throughput_tps": steady_state_throughput(metrics, done, density),
         "overall_tps": metrics.throughput_tps,
         "distance_computations": metrics.distance_computations,
         "windows_fired": metrics.windows_fired,

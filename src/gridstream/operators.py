@@ -1,10 +1,12 @@
 """Per-window query evaluation: range, k-nearest, and stream join.
 
-Every query comes in two variants. The grid-based variant works on
-points bucketed by cell and uses the guaranteed/candidate cell split to
-skip distance computations; the naive variant distance-checks
-everything. Both must produce identical results; only the distance
-counts differ, so each operator returns (result, distance_computations).
+The range and join operators take their input split into guaranteed
+and candidate layers and distance-check only the candidates; kNN ranks
+every point it is given. The grid variant fills the layers from the
+cell split and discards pruned cells; the naive variant feeds the same
+operators every point as a candidate. Both produce identical results
+and only the distance counts differ, so each operator returns (result,
+distance_computations).
 
 A neighbor is any point with distance <= r (closed ball); ranked lists
 order ties by object id, then event time, then coordinates, which keeps
@@ -45,17 +47,6 @@ def range_refine(guaranteed: Iterable[SpatialPoint],
     out = list(guaranteed)
     dc = 0
     for p in candidates:
-        dc += 1
-        if dist(p.x, p.y, qx, qy) <= r:
-            out.append(p)
-    return out, dc
-
-
-def range_naive(points: Iterable[SpatialPoint], qx: float, qy: float, r: float,
-                dist: Distance = euclidean) -> tuple[list[SpatialPoint], int]:
-    out = []
-    dc = 0
-    for p in points:
         dc += 1
         if dist(p.x, p.y, qx, qy) <= r:
             out.append(p)
@@ -121,8 +112,9 @@ def join_per_key(s1_points: Iterable[SpatialPoint], s2_replicas: Iterable[Replic
     """Join one cell's ordinary points against the replicas sent to it.
 
     Pairs are (ordinary_id, query_id). A pair can only form under one
-    cell key (each ordinary point lives in exactly one cell), so no
-    cross-key deduplication is needed.
+    key (each ordinary point lives in exactly one cell, or, naive, in
+    one instance's single bucket), so no cross-key deduplication is
+    needed.
     """
     s1 = list(s1_points)
     pairs: set[tuple[str, str]] = set()
@@ -137,20 +129,6 @@ def join_per_key(s1_points: Iterable[SpatialPoint], s2_replicas: Iterable[Replic
                 dc += 1
                 if dist(p.x, p.y, q.x, q.y) <= r:
                     pairs.add((p.object_id, q.object_id))
-    return pairs, dc
-
-
-def join_naive(s1_points: Iterable[SpatialPoint], s2_points: Iterable[SpatialPoint],
-               r: float,
-               dist: Distance = euclidean) -> tuple[set[tuple[str, str]], int]:
-    s2 = list(s2_points)
-    pairs: set[tuple[str, str]] = set()
-    dc = 0
-    for p in s1_points:
-        for q in s2:
-            dc += 1
-            if dist(p.x, p.y, q.x, q.y) <= r:
-                pairs.add((p.object_id, q.object_id))
     return pairs, dc
 
 

@@ -8,7 +8,10 @@ Flink runs chained operators in one task thread with no queue between
 them. For grid range/kNN queries the keyed filter's layer test runs in
 the router: a point in a pruned cell is counted toward its windows and
 credited to the filter instance its key routes to, but never windowed,
-so filters hold only guaranteed and candidate points.
+so filters hold only guaranteed and candidate points. The naive variant
+routes round-robin (join query points to every instance) and emits every
+point as a candidate, so both variants share the same operators and
+differ only in routing and the layer test.
 
 The router owns event time. The watermark is the largest accepted event
 time minus the allowed lateness, never below 0, the first window start;
@@ -33,9 +36,9 @@ from typing import Any, Callable, ClassVar, Iterator
 
 from .geo import degree_radius_bounds, haversine_m
 from .grid import Grid, LayerKeys
-from .operators import (Distance, ResultBatch, euclidean, join_naive,
-                        join_per_key, knn_local, knn_merge, range_naive,
-                        range_refine, replicas_for)
+from .operators import (Distance, Replica, ResultBatch, euclidean,
+                        join_per_key, knn_local, knn_merge, range_refine,
+                        replicas_for)
 from .streams import SpatialPoint
 from .windows import (SlidingWindower, WindowInstance, WindowSpec,
                       earliest_start, latest_start)
@@ -91,6 +94,13 @@ class _Memo(dict):
 _METRICS = ("euclidean", "haversine")
 
 
+def _check_radius_and_metric(query: Query) -> None:
+    if query.r <= 0:
+        raise ConfigError(f"radius must be positive, got {query.r}")
+    if query.metric not in _METRICS:
+        raise ConfigError(f"unknown metric {query.metric!r}")
+
+
 @dataclass(frozen=True)
 class RangeQuery:
     x: float
@@ -101,10 +111,7 @@ class RangeQuery:
     kind: ClassVar[str] = "range"
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ConfigError(f"radius must be positive, got {self.r}")
-        if self.metric not in _METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        _check_radius_and_metric(self)
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,9 @@ class KnnQuery:
     kind: ClassVar[str] = "knn"
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ConfigError(f"radius must be positive, got {self.r}")
+        _check_radius_and_metric(self)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.metric not in _METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,7 @@ class JoinQuery:
     kind: ClassVar[str] = "join"
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ConfigError(f"radius must be positive, got {self.r}")
-        if self.metric not in _METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        _check_radius_and_metric(self)
 
 
 Query = RangeQuery | KnnQuery | JoinQuery
@@ -199,11 +200,6 @@ class RuntimeMetrics:
     instance_tuples: dict[str, int] = field(default_factory=dict)
     instance_distance: dict[str, int] = field(default_factory=dict)
     instance_max_pending: dict[str, int] = field(default_factory=dict)
-    # (monotonic time, window start) of the first and the second-to-last
-    # fired window: all bench.steady_state_throughput reads, kept O(1)
-    # so an unbounded source does not grow them.
-    first_completion: tuple[float, int] | None = None
-    penultimate_completion: tuple[float, int] | None = None
 
     def summary(self) -> dict:
         return {
@@ -244,16 +240,16 @@ class RuntimeMetrics:
 
 def _point_records(source: Iterator[SpatialPoint], grid: Grid, u: int,
                    layers: LayerKeys | None):
-    """Range/kNN records: keyed by cell and tagged with their layer
-    (True = guaranteed, False = candidate) given layer keys, else
-    rebalanced round-robin."""
+    """Range/kNN records bucketed by layer (True = guaranteed, False =
+    candidate): keyed by cell given layer keys, else rebalanced
+    round-robin with every point a candidate."""
     if layers is None:
         rr = itertools.cycle(range(u))
         for p in source:
             if not grid.contains(p.x, p.y):
                 yield (p.event_time, None)
                 continue
-            yield (p.event_time, ((next(rr), None, p),))
+            yield (p.event_time, ((next(rr), False, p),))
         return
     # Cell key -> True (guaranteed) / False (candidate); a key that is
     # absent is pruned.
@@ -275,11 +271,12 @@ def _point_records(source: Iterator[SpatialPoint], grid: Grid, u: int,
 
 def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
                   grid: Grid, u: int, keyed: bool):
-    """Join records from both streams. Keyed: ordinary points go to their
-    cell's instance as (True, point), query points to every layer cell's
-    instance as (False, replica), bucketed by cell. Naive: ordinary
-    points are rebalanced, query points broadcast, bucketed by stream
-    (True = ordinary)."""
+    """Join records from both streams: ordinary points as (True, point),
+    query points as (False, replica). Keyed: an ordinary point goes to
+    its cell's instance, a query point to every layer cell's instance,
+    bucketed by cell. Naive: ordinary points are rebalanced and each
+    query point is broadcast once as a candidate replica, all in one
+    bucket."""
 
     def tagged(src, idx):
         for seq, p in enumerate(src):
@@ -291,12 +288,14 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
     if not keyed:
         rr = itertools.cycle(range(u))
         for t, src, _seq, p in merged:
-            if not grid.contains(p.x, p.y):
+            key = grid.key_of(p.x, p.y)
+            if key is None:
                 yield (t, None)
             elif src == 0:
-                yield (t, ((next(rr), True, p),))
+                yield (t, ((next(rr), None, (True, p)),))
             else:
-                yield (t, ((_BROADCAST, False, p),))
+                yield (t, ((_BROADCAST, None,
+                            (False, Replica(key, False, p))),))
         return
     r_guar, r_cand = _layer_radii(query, grid)
     dest = _Memo(lambda key: route_keyed(key, grid.n_bits, u))
@@ -315,7 +314,7 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
 
 def _join_buckets(w: WindowInstance, r: float,
                   dist: Distance) -> tuple[set[tuple[str, str]], int]:
-    """Keyed join of one fired window, cell bucket by cell bucket."""
+    """Join of one fired window, bucket by bucket."""
     pairs: set[tuple[str, str]] = set()
     dc = 0
     for bucket in w.buckets.values():
@@ -331,24 +330,18 @@ def _join_buckets(w: WindowInstance, r: float,
     return pairs, dc
 
 
-def _evaluator(query: Query, variant: str
-               ) -> Callable[[WindowInstance], tuple[Any, int]]:
+def _evaluator(query: Query) -> Callable[[WindowInstance], tuple[Any, int]]:
     """One instance's (partial result, distance computations) for a
-    fired window."""
+    fired window, grid or naive alike."""
     dist = _dist_for(query)
     r = query.r
     if query.kind == "join":
-        if variant == "grid":
-            return lambda w: _join_buckets(w, r, dist)
-        return lambda w: join_naive(w.buckets.get(True, ()),
-                                    w.buckets.get(False, ()), r, dist)
+        return lambda w: _join_buckets(w, r, dist)
     x, y = query.x, query.y
     if query.kind == "knn":
         return lambda w: knn_local(w.members, x, y, r, query.k, dist)
-    if variant == "grid":
-        return lambda w: range_refine(w.buckets.get(True, ()),
-                                      w.buckets.get(False, ()), x, y, r, dist)
-    return lambda w: range_naive(w.members, x, y, r, dist)
+    return lambda w: range_refine(w.buckets.get(True, ()),
+                                  w.buckets.get(False, ()), x, y, r, dist)
 
 
 def _combiner(query: Query) -> Callable[[list], Any]:
@@ -401,7 +394,6 @@ class _Executor:
         self.metrics = metrics
         self.callback = callback
         self.results: list[ResultBatch] = []
-        self._last_completion: tuple[float, int] | None = None
 
     def run(self, records) -> None:
         metrics = self.metrics
@@ -456,7 +448,8 @@ class _Executor:
                     next_end = earliest_start(watermark, length,
                                               slide) + length
 
-        self._fire(_FOREVER, first_start, max_start)
+        if first_start is not None:
+            self._fire(_FOREVER, first_start, max_start)
         for inst, n in zip(instances, tuples):
             metrics.instance_tuples[inst.name] = n
             metrics.instance_distance[inst.name] = inst.dc
@@ -468,8 +461,8 @@ class _Executor:
         metrics.late_dropped = late
         metrics.pruned_members = pruned_members
 
-    def _fire(self, watermark: float, first_start: int | None,
-              max_start: int | None) -> None:
+    def _fire(self, watermark: float, first_start: int,
+              max_start: int) -> None:
         """Fire every instance up to the watermark and emit one batch per
         window, in window order."""
         fired = []
@@ -494,11 +487,6 @@ class _Executor:
             batch = ResultBatch(first.start, first.end, kind,
                                 self.combine(partials))
             metrics.windows_fired += 1
-            sample = (time.monotonic(), first.start)
-            if metrics.first_completion is None:
-                metrics.first_completion = sample
-            metrics.penultimate_completion = self._last_completion
-            self._last_completion = sample
             if self.callback is None:
                 self.results.append(batch)
             else:
@@ -557,7 +545,7 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
         records = _point_records(sources[0], grid, P, layers)
     else:
         records = _point_records(sources[0], grid, P, None)
-    executor = _Executor(query, instances, _evaluator(query, variant),
+    executor = _Executor(query, instances, _evaluator(query),
                          _combiner(query), metrics, callback)
 
     t0 = time.monotonic()

@@ -135,23 +135,17 @@ class ParseStats:
     malformed: int = 0
 
 
-def parse_line(line: str, fmt: str) -> SpatialPoint:
-    try:
-        parser = _PARSERS[fmt]
-    except KeyError:
-        raise StreamFormatError(f"unknown format {fmt!r}") from None
-    return parser(line)
-
-
 def parse_lines(lines: Iterable[str], fmt: str,
                 stats: ParseStats | None = None) -> Iterator[SpatialPoint]:
     """Parse a line stream, skipping blank lines.
 
     With a stats object, malformed lines are counted and skipped so a bad
     record cannot take down a long-running pipeline; without one they
-    raise.
+    raise. An unknown format raises StreamFormatError.
     """
-    parser = _PARSERS[fmt]
+    parser = _PARSERS.get(fmt)
+    if parser is None:
+        raise StreamFormatError(f"unknown format {fmt!r}")
     for line in lines:
         if not line.strip():
             continue

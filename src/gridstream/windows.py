@@ -5,7 +5,9 @@ every window [s, s + length) with s % slide == 0, s <= t < s + length and
 s >= 0. A watermark at time w certifies no later record will carry
 t < w, so any window with end <= w can fire. The caller owns the
 watermark and drops every record behind it, so a record a windower is
-given never belongs to a window it has already fired.
+given never belongs to a window it has already fired. The caller also
+owns the range of window starts: it passes the first and last starts it
+has seen to every firing.
 
 Each open window keeps its members bucketed by an opaque key (cell key
 in practice) so a consumer can visit only the buckets it cares about.
@@ -72,15 +74,15 @@ class SlidingWindower:
     data-bearing ones elsewhere must still fire (with no members) to keep
     all partitions emitting the same window sequence. fire_ready takes the
     globally observed first and last window starts as hints and fires
-    every start in between, data or not.
+    every start in between, data or not, so the windower itself keeps
+    only its pending windows and the next start to fire.
     """
 
     length: int
     slide: int
     _pending: dict[int, list] = field(default_factory=dict)
+    # None until the first window fires; fire_ready then resumes here.
     _next_fire: int | None = None
-    _last_known: int | None = None
-    _fired: bool = False
 
     def __post_init__(self) -> None:
         if self.slide <= 0:
@@ -94,10 +96,6 @@ class SlidingWindower:
         guarantees none of those windows has fired."""
         first = earliest_start(t, self.length, self.slide)
         last = latest_start(t, self.slide)
-        if self._next_fire is None or first < self._next_fire:
-            self._next_fire = first
-        if self._last_known is None or last > self._last_known:
-            self._last_known = last
         for s in range(first, last + 1, self.slide):
             entry = self._pending.get(s)
             if entry is None:
@@ -110,37 +108,28 @@ class SlidingWindower:
             else:
                 bucket.append(item)
 
-    def fire_ready(self, watermark: int, first_start: int | None = None,
-                   max_start: int | None = None) -> list[WindowInstance]:
-        """Fire every closed window up to the watermark, in start order.
+    def fire_ready(self, watermark: float, first_start: int,
+                   max_start: int) -> list[WindowInstance]:
+        """Fire every closed window from first_start to max_start up to
+        the watermark, in start order.
 
-        first_start/max_start widen the locally known range of window
-        starts so partitions that saw no data for some window still emit
-        it empty. Once anything has fired the first_start hint is inert:
-        every start it could name was already emitted exactly once.
+        first_start/max_start are the globally observed first and last
+        window starts, so a partition that saw no data for some window
+        still emits it empty. Once anything has fired the first_start
+        hint is inert: every start it could name was already emitted
+        exactly once.
         """
-        if first_start is not None and not self._fired and (
-                self._next_fire is None or first_start < self._next_fire):
-            self._next_fire = first_start
-        if max_start is not None and (self._last_known is None
-                                      or max_start > self._last_known):
-            self._last_known = max_start
         fired: list[WindowInstance] = []
-        if self._next_fire is None:
-            return fired
-        s = self._next_fire
-        while s + self.length <= watermark:
-            if self._last_known is not None and s > self._last_known:
-                break
+        s = first_start if self._next_fire is None else self._next_fire
+        while s <= max_start and s + self.length <= watermark:
             entry = self._pending.pop(s, None)
             if entry is None:
                 fired.append(WindowInstance(s, s + self.length, {}, 0))
             else:
                 fired.append(WindowInstance(s, s + self.length, entry[1], entry[0]))
             s += self.slide
-        self._next_fire = s
         if fired:
-            self._fired = True
+            self._next_fire = s
         return fired
 
     def pending_count(self) -> int:

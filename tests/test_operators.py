@@ -8,9 +8,8 @@ import pytest
 from gridstream.geo import METERS_PER_DEGREE, degree_radius_bounds, haversine_m
 from gridstream.grid import CellCoord, build_grid
 from gridstream.operators import (Replica, ResultBatch, batch_to_json,
-                                  euclidean, join_naive, join_per_key,
-                                  knn_local, knn_merge, range_naive,
-                                  range_refine, replicas_for)
+                                  euclidean, join_per_key, knn_local,
+                                  knn_merge, range_refine, replicas_for)
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
 from gridstream.streams import SpatialPoint
 
@@ -83,11 +82,12 @@ def test_range_refine_boundary_inclusive():
 
 
 def test_range_naive_counter_is_window_size():
+    # Naive evaluation: every point a candidate.
     pts = [_pt(i, float(i), 0.0) for i in range(10)]
-    out, dc = range_naive(pts, 0.0, 0.0, 4.5)
+    out, dc = range_refine((), pts, 0.0, 0.0, 4.5)
     assert dc == 10
     assert {p.object_id for p in out} == {"0", "1", "2", "3", "4"}
-    assert range_naive([], 0.0, 0.0, 4.5) == ([], 0)
+    assert range_refine((), [], 0.0, 0.0, 4.5) == ([], 0)
 
 
 def test_grid_range_equals_oracle_on_random_window():
@@ -99,7 +99,7 @@ def test_grid_range_equals_oracle_on_random_window():
     layers = grid.layer_keys(grid.layer_sets(grid.cell_of(qx, qy), r))
     guaranteed, candidates = _split_by_layer(grid, pts, layers)
     out, dc = range_refine(guaranteed, candidates, qx, qy, r)
-    naive_out, naive_dc = range_naive(pts, qx, qy, r)
+    naive_out, naive_dc = range_refine((), pts, qx, qy, r)
     want = oracle_range(pts, qx, qy, r)
     assert set(out) == want
     assert set(naive_out) == want
@@ -255,12 +255,14 @@ def test_join_naive_counter_and_oracle():
           for i in range(200)]
     s2 = [_pt(f"q{i}", rng.uniform(0, 50), rng.uniform(0, 50))
           for i in range(7)]
-    pairs, dc = join_naive(s1, s2, 9.0)
+    # Naive evaluation: every query point a candidate replica.
+    reps = [Replica(0, False, q) for q in s2]
+    pairs, dc = join_per_key(s1, reps, 9.0)
     assert dc == 200 * 7
     assert pairs == oracle_join(s1, s2, 9.0)
-    assert join_naive(s1, [], 9.0) == (set(), 0)
+    assert join_per_key(s1, [], 9.0) == (set(), 0)
     q = _pt("q", s1[0].x, s1[0].y)
-    pairs, _ = join_naive(s1, [q], 0.001)
+    pairs, _ = join_per_key(s1, [Replica(0, False, q)], 0.001)
     assert ("p0", "q") in pairs
 
 

@@ -247,13 +247,26 @@ def test_join_pipeline_matches_oracle_for_any_parallelism():
 
 
 def test_naive_distance_count_is_exhaustive():
+    # Range and kNN check every window member; the join checks every
+    # (ordinary, query) pair of a window, whatever the parallelism.
     grid = build_grid(*EXTENT, m=9, n_bits=4)
     pts = make_points(400, 25)
-    q = RangeQuery(45.0, 45.0, 10.0, WINDOW)
-    _, m = run_pipeline([iter(pts)], NAIVE_STAGES["range"], q, grid,
-                        PipelineConfig(parallelism=2))
-    want = sum(len(members) for _, members in window_members(pts, WINDOW))
-    assert m.distance_computations == want
+    qpts = make_points(40, 26, t_step=400, prefix="q")
+    members = sum(len(m) for _, m in window_members(pts, WINDOW))
+    span = pts + qpts
+    pairs = sum(len(a) * len(b) for (_, a), (_, b) in zip(
+        window_members(pts, WINDOW, span), window_members(qpts, WINDOW, span),
+        strict=True))
+    for p in (1, 3):
+        config = PipelineConfig(parallelism=p)
+        for q in (RangeQuery(45.0, 45.0, 10.0, WINDOW),
+                  KnnQuery(45.0, 45.0, 10.0, 5, WINDOW)):
+            _, m = run_pipeline([iter(pts)], NAIVE_STAGES[q.kind], q, grid,
+                                config)
+            assert m.distance_computations == members, (q.kind, p)
+        _, m = run_pipeline([iter(pts), iter(qpts)], NAIVE_STAGES["join"],
+                            JoinQuery(10.0, WINDOW), grid, config)
+        assert m.distance_computations == pairs, ("join", p)
 
 
 def test_join_spreads_work_across_instances():
@@ -549,8 +562,6 @@ def test_callback_run_holds_bounded_metrics():
     for name, value in vars(m).items():
         if isinstance(value, (list, dict, tuple)):
             assert len(value) <= 2, name
-    assert m.first_completion[1] == 0
-    assert m.penultimate_completion[1] == 1198 * 40
 
 
 def test_failing_callback_surfaces_as_pipeline_error():

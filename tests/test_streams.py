@@ -12,7 +12,7 @@ from gridstream.grid import build_grid
 from gridstream.streams import (ParseStats, SpatialPoint, StreamFormatError,
                                 format_csv_line, format_geojson_line,
                                 parse_csv_line, parse_geojson_line,
-                                parse_line, parse_lines, parse_timestamp,
+                                parse_lines, parse_timestamp,
                                 replay_file, tcp_source)
 
 
@@ -72,10 +72,13 @@ def test_geojson_round_trip():
     assert parse_geojson_line(format_geojson_line(p)) == p
 
 
-def test_parse_line_dispatch():
-    assert parse_line("1,2008-02-02 15:36:08,1.0,2.0", "csv").x == 1.0
+def test_parse_lines_dispatch():
+    [p] = parse_lines(["1,2008-02-02 15:36:08,1.0,2.0"], "csv")
+    assert p.x == 1.0
     with pytest.raises(StreamFormatError):
-        parse_line("anything", "xml")
+        list(parse_lines(["anything"], "xml"))
+    with pytest.raises(StreamFormatError):
+        list(parse_lines(["anything"], "xml", ParseStats()))
 
 
 def _mangle(line, rng):
@@ -137,7 +140,7 @@ def test_geojson_boolean_timestamp_is_malformed():
 ])
 def test_non_finite_or_non_numeric_coordinate_is_malformed(fmt, line):
     with pytest.raises(StreamFormatError):
-        parse_line(line, fmt)
+        list(parse_lines([line], fmt))
     stats = ParseStats()
     assert list(parse_lines([line], fmt, stats)) == []
     assert stats.malformed == 1

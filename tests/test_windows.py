@@ -59,11 +59,11 @@ def test_fire_membership_matches_enumeration():
     w = SlidingWindower(10000, 5000)
     w.add(1000, "a")
     w.add(6000, "b")
-    fired = w.fire_ready(11000)
+    fired = w.fire_ready(11000, 0, 5000)
     assert [f.start for f in fired] == [0]
     assert sorted(fired[0].members) == ["a", "b"]
     # [5000, 15000) holds only b; fires once the watermark passes 15000
-    fired = w.fire_ready(15000)
+    fired = w.fire_ready(15000, 0, 5000)
     assert [f.start for f in fired] == [5000]
     assert list(fired[0].members) == ["b"]
 
@@ -71,12 +71,13 @@ def test_fire_membership_matches_enumeration():
 def test_fire_exactly_once():
     w = SlidingWindower(10000, 5000)
     w.add(1000, "a")
-    assert [f.start for f in w.fire_ready(10000)] == [0]
-    assert w.fire_ready(10000) == []
-    assert w.fire_ready(20000) == [] or True
+    assert [f.start for f in w.fire_ready(10000, 0, 0)] == [0]
+    assert w.fire_ready(10000, 0, 0) == []
+    # no start past max_start fires, however far the watermark runs
+    assert w.fire_ready(20000, 0, 0) == []
     # advancing again must not re-fire start 0
-    again = w.fire_ready(25000)
-    assert 0 not in [f.start for f in again]
+    again = w.fire_ready(25000, 0, 5000)
+    assert [f.start for f in again] == [5000]
 
 
 def test_fire_against_brute_force():
@@ -86,7 +87,8 @@ def test_fire_against_brute_force():
     w = SlidingWindower(length, slide)
     for t in points:
         w.add(t, t)
-    fired = w.fire_ready(10**9)
+    fired = w.fire_ready(10**9, earliest_start(points[0], length, slide),
+                         latest_start(points[-1], slide))
     by_start = {f.start: sorted(f.members) for f in fired}
     starts = sorted(by_start)
     assert starts == sorted(set(starts))  # each start once
@@ -136,7 +138,7 @@ def test_pending_accounting():
     assert w.pending_count() == 0
     w.add(7000, "a", key="k1")
     assert w.pending_count() == 2
-    w.fire_ready(10000)
+    w.fire_ready(10000, 0, 5000)
     assert w.pending_count() == 1
 
 
@@ -145,7 +147,7 @@ def test_bucketed_members_by_key():
     w.add(1000, "a", key="c1")
     w.add(2000, "b", key="c2")
     w.add(3000, "c", key="c1")
-    fired = w.fire_ready(10000)
+    fired = w.fire_ready(10000, 0, 0)
     assert len(fired) == 1
     assert fired[0].buckets["c1"] == ["a", "c"]
     assert fired[0].buckets["c2"] == ["b"]
