@@ -2,10 +2,11 @@
 
 A bench run replays a seeded synthetic stream through both the
 grid-based and the naive pipeline for the same query and reports
-steady-state throughput, distance-computation counts, the pruning ratio
-(fraction of distance work the grid variant avoided), and a hash of the
-canonical per-window results. The hash must agree between variants, so
-every benchmark doubles as a correctness check.
+throughput (records consumed per second of ``run_pipeline`` wall time,
+the runtime's own ``throughput_tps``), distance-computation counts, the
+pruning ratio (fraction of distance work the grid variant avoided), and
+a hash of the canonical per-window results. The hash must agree between
+variants, so every benchmark doubles as a correctness check.
 
 Sweeps vary exactly one parameter axis, run each cell three times,
 taking the cells in turn rep by rep, and report the median. The query
@@ -20,15 +21,13 @@ import csv
 import hashlib
 import random
 import statistics
-import time
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
 from .grid import DEFAULT_BBOX, build_grid
-from .operators import ResultBatch, batch_to_json
+from .operators import batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
-                      KnnQuery, PipelineConfig, RangeQuery, RuntimeMetrics,
-                      run_pipeline)
+                      KnnQuery, PipelineConfig, RangeQuery, run_pipeline)
 from .streams import SpatialPoint, format_csv_line
 from .windows import WindowSpec
 
@@ -53,13 +52,10 @@ class BenchConfig:
 
     bbox: tuple[float, float, float, float] = DEFAULT_BBOX
     m: int = 150
-    n_bits: int = 16
     r: float = 0.004
     window_ms: int = 10000
     slide_ms: int = 5000
     k: int = 10
-    qx: float | None = None
-    qy: float | None = None
     parallelism: int = 4
     s1_n: int = 100_000
     s1_rate: float = 250.0
@@ -68,21 +64,21 @@ class BenchConfig:
     seed: int = 7
     reps: int = 3
 
-    def query_point(self) -> tuple[float, float]:
-        if self.qx is not None and self.qy is not None:
-            return self.qx, self.qy
-        x0, y0, x1, y1 = self.bbox
-        return (x0 + x1) / 2, (y0 + y1) / 2
+
+# synth_points' fixed shape: the first event time (early 2008, the era
+# of the taxi logs the defaults follow) and the cluster layout of the
+# gaussian-clusters distribution, in bbox units.
+START_MS = 1_202_000_000_000
+CLUSTERS = 8
+CLUSTER_STD = 0.05
 
 
 def synth_points(n: int, bbox: Sequence[float], rate: float, seed: int,
-                 distribution: str = "uniform", clusters: int = 8,
-                 cluster_std: float = 0.05,
-                 start_ms: int = 1_202_000_000_000) -> list[SpatialPoint]:
+                 distribution: str = "uniform") -> list[SpatialPoint]:
     """Deterministic synthetic trajectory points with monotone timestamps.
 
     rate is in points per event-time second; the i-th point is stamped
-    start_ms + i*1000/rate. Object ids cycle over a fleet roughly one
+    START_MS + i*1000/rate. Object ids cycle over a fleet roughly one
     tenth the stream size.
     """
     if n < 1:
@@ -95,17 +91,17 @@ def synth_points(n: int, bbox: Sequence[float], rate: float, seed: int,
     pts: list[SpatialPoint] = []
     if distribution == "uniform":
         for i in range(n):
-            t = start_ms + round(i * 1000.0 / rate)
+            t = START_MS + round(i * 1000.0 / rate)
             pts.append(SpatialPoint(str(rng.randrange(fleet)),
                                     rng.uniform(x0, x1), rng.uniform(y0, y1), t))
     elif distribution == "gaussian-clusters":
         centers = [(rng.uniform(x0, x1), rng.uniform(y0, y1))
-                   for _ in range(clusters)]
+                   for _ in range(CLUSTERS)]
         for i in range(n):
-            t = start_ms + round(i * 1000.0 / rate)
-            cx, cy = centers[rng.randrange(clusters)]
-            x = min(max(rng.gauss(cx, cluster_std), x0), x1)
-            y = min(max(rng.gauss(cy, cluster_std), y0), y1)
+            t = START_MS + round(i * 1000.0 / rate)
+            cx, cy = centers[rng.randrange(CLUSTERS)]
+            x = min(max(rng.gauss(cx, CLUSTER_STD), x0), x1)
+            y = min(max(rng.gauss(cy, CLUSTER_STD), y0), y1)
             pts.append(SpatialPoint(str(rng.randrange(fleet)), x, y, t))
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
@@ -124,52 +120,15 @@ def synth_stream(path: str, n: int, bbox: Sequence[float], rate: float,
     return len(pts)
 
 
-class Completions:
-    """A run_pipeline callback that keeps the batches and stamps
-    (monotonic time, window start) of the first and the second-to-last
-    fired window, the bracket steady_state_throughput reads."""
-
-    def __init__(self) -> None:
-        self.batches: list[ResultBatch] = []
-        self.first: tuple[float, int] | None = None
-        self.penultimate: tuple[float, int] | None = None
-        self._last: tuple[float, int] | None = None
-
-    def __call__(self, batch: ResultBatch) -> None:
-        sample = (time.monotonic(), batch.window_start)
-        if self.first is None:
-            self.first = sample
-        self.penultimate, self._last = self._last, sample
-        self.batches.append(batch)
-
-
-def steady_state_throughput(metrics: RuntimeMetrics, done: Completions,
-                            tuples_per_second: float) -> float:
-    """Tuples per wall second between the first and the second-to-last
-    window completion, so startup and the final drain are excluded.
-
-    Progress is measured as event time completed in the interval times
-    the stream's tuple density (tuples per event-time second); this
-    stays meaningful even when the source is fully consumed before the
-    first window closes. Falls back to whole-run throughput when there
-    are too few windows to bracket an interval."""
-    if metrics.windows_fired < 3:
-        return metrics.throughput_tps
-    (t1, ws1), (t2, ws2) = done.first, done.penultimate
-    if t2 - t1 < max(0.05, 0.1 * metrics.wall_seconds):
-        # Completions bunched at the end of the run (the source drained
-        # before windows closed): no steady portion to measure.
-        return metrics.throughput_tps
-    return (ws2 - ws1) / 1000.0 * tuples_per_second / (t2 - t1)
-
-
 def run_once(cfg: BenchConfig, kind: str, variant: str,
              s1: list[SpatialPoint],
              s2: list[SpatialPoint] | None = None) -> dict:
-    """One pipeline run; returns measurements for a bench row."""
-    grid = build_grid(*cfg.bbox, cfg.m, cfg.n_bits)
+    """One pipeline run; returns measurements for a bench row. The query
+    point of range and kNN is the centre of the bbox."""
+    grid = build_grid(*cfg.bbox, cfg.m)
     window = WindowSpec(cfg.window_ms, cfg.slide_ms)
-    qx, qy = cfg.query_point()
+    x0, y0, x1, y1 = cfg.bbox
+    qx, qy = (x0 + x1) / 2, (y0 + y1) / 2
     if kind == "range":
         query = RangeQuery(qx, qy, cfg.r, window)
         sources = [iter(s1)]
@@ -184,42 +143,29 @@ def run_once(cfg: BenchConfig, kind: str, variant: str,
     else:
         raise ValueError(f"unknown query kind {kind!r}")
     stages = (GRID_STAGES if variant == "grid" else NAIVE_STAGES)[kind]
-    done = Completions()
-    _, metrics = run_pipeline(
+    batches, metrics = run_pipeline(
         sources, stages, query, grid,
-        PipelineConfig(parallelism=cfg.parallelism), done)
+        PipelineConfig(parallelism=cfg.parallelism))
     digest = hashlib.sha256(
-        "\n".join(batch_to_json(b) for b in done.batches).encode()).hexdigest()
-    density = cfg.s1_rate + (cfg.s2_rate if kind == "join" else 0.0)
+        "\n".join(batch_to_json(b) for b in batches).encode()).hexdigest()
     return {
-        "variant": variant,
-        "throughput_tps": steady_state_throughput(metrics, done, density),
-        "overall_tps": metrics.throughput_tps,
+        "throughput_tps": metrics.throughput_tps,
         "distance_computations": metrics.distance_computations,
-        "windows_fired": metrics.windows_fired,
-        "wall_seconds": metrics.wall_seconds,
         "result_hash": digest,
     }
 
 
-def _streams_for(cfg: BenchConfig, kind: str
+def _streams_for(n: int, bbox: Sequence[float], rate: float, seed: int,
+                 distribution: str, s2_rate: float | None = None
                  ) -> tuple[list[SpatialPoint], list[SpatialPoint] | None]:
-    s1 = synth_points(cfg.s1_n, cfg.bbox, cfg.s1_rate, cfg.seed,
-                      cfg.distribution)
-    if kind != "join":
+    """The ordinary stream and, given a query-stream rate, the join's
+    query stream over the same event-time span."""
+    s1 = synth_points(n, bbox, rate, seed, distribution)
+    if s2_rate is None:
         return s1, None
-    span_s = cfg.s1_n / cfg.s1_rate
-    n2 = max(1, int(span_s * cfg.s2_rate))
-    s2 = synth_points(n2, cfg.bbox, cfg.s2_rate, cfg.seed + 1,
-                      cfg.distribution)
-    return s1, s2
-
-
-def _stream_key(cfg: BenchConfig, kind: str) -> tuple:
-    """The fields _streams_for reads, so cells that would draw the same
-    streams share one copy."""
-    s1 = (cfg.s1_n, cfg.bbox, cfg.s1_rate, cfg.seed, cfg.distribution)
-    return s1 + ((cfg.s2_rate,) if kind == "join" else ())
+    span_s = n / rate
+    n2 = max(1, int(span_s * s2_rate))
+    return s1, synth_points(n2, bbox, s2_rate, seed + 1, distribution)
 
 
 def bench_cells(cells: Sequence[tuple[BenchConfig, str, str, float | str]],
@@ -236,11 +182,12 @@ def bench_cells(cells: Sequence[tuple[BenchConfig, str, str, float | str]],
     and result hashes must agree between variants; any of these failing
     is a bug, not noise, so it raises.
     """
-    streams: dict[tuple, tuple] = {}
-    for cfg, kind, _param, _value in cells:
-        key = _stream_key(cfg, kind)
-        if key not in streams:
-            streams[key] = _streams_for(cfg, kind)
+    # _streams_for's arguments per cell; cells with equal arguments share
+    # one copy of the streams.
+    keys = [(cfg.s1_n, cfg.bbox, cfg.s1_rate, cfg.seed, cfg.distribution)
+            + ((cfg.s2_rate,) if kind == "join" else ())
+            for cfg, kind, _param, _value in cells]
+    streams = {key: _streams_for(*key) for key in dict.fromkeys(keys)}
     n = len(cells)
     tps: list[dict[str, list[float]]] = [{"grid": [], "naive": []}
                                          for _ in range(n)]
@@ -248,7 +195,7 @@ def bench_cells(cells: Sequence[tuple[BenchConfig, str, str, float | str]],
     hashes: list[dict[str, str]] = [{} for _ in range(n)]
     for _rep in range(reps):
         for i, (cfg, kind, param, value) in enumerate(cells):
-            s1, s2 = streams[_stream_key(cfg, kind)]
+            s1, s2 = streams[keys[i]]
             for variant in ("grid", "naive"):
                 res = run_once(cfg, kind, variant, s1, s2)
                 tps[i][variant].append(res["throughput_tps"])

@@ -19,14 +19,14 @@ import json
 import sys
 from typing import IO, Iterator
 
-from .grid import DEFAULT_BBOX, GridError, build_grid
+from .grid import DEFAULT_BBOX, build_grid
 from .operators import batch_to_json
 from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
                       KnnQuery, PipelineConfig, PipelineError, RangeQuery,
                       run_pipeline)
 from .streams import (ParseStats, SpatialPoint, parse_lines, replay_file,
                       tcp_source)
-from .windows import WindowError, WindowSpec
+from .windows import WindowSpec
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -78,8 +78,6 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
                    help="minx,miny,maxx,maxy (default Beijing box)")
     p.add_argument("--grid", type=int, default=150, metavar="M",
                    help="cells along x (default 150)")
-    p.add_argument("--nbits", type=int, default=16,
-                   help="bits per cell index in keys (default 16)")
     p.add_argument("--r", type=float, required=True,
                    help="radius in coordinate units (meters with --haversine)")
     p.add_argument("--window-size-ms", type=int, default=10000)
@@ -117,7 +115,7 @@ def _open_source(args, path: str | None, stats: ParseStats
 
 
 def _run_query(args, kind: str) -> int:
-    grid = build_grid(*args.bbox, args.grid, args.nbits)
+    grid = build_grid(*args.bbox, args.grid)
     window = WindowSpec(args.window_size_ms, args.window_slide_ms,
                         args.lateness_ms)
     metric = "haversine" if args.haversine else "euclidean"
@@ -170,7 +168,7 @@ def _run_bench(args) -> int:
     from .bench import (BenchConfig, bench_axis, bench_cells, write_bench_csv,
                         write_plot_data)
     cfg = BenchConfig(
-        bbox=args.bbox, m=args.grid, n_bits=args.nbits, r=args.r,
+        bbox=args.bbox, m=args.grid, r=args.r,
         window_ms=args.window_size_ms, slide_ms=args.window_slide_ms,
         k=args.k, parallelism=args.parallelism, s1_n=args.n,
         s1_rate=args.s1_rate, s2_rate=args.s2_rate,
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="grid vs naive benchmark sweeps")
     p_bench.add_argument("--bbox", type=_bbox, default=DEFAULT_BBOX)
     p_bench.add_argument("--grid", type=int, default=150, metavar="M")
-    p_bench.add_argument("--nbits", type=int, default=16)
     p_bench.add_argument("--r", type=float, default=0.004)
     p_bench.add_argument("--window-size-ms", type=int, default=10000)
     p_bench.add_argument("--window-slide-ms", type=int, default=5000)
@@ -272,10 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _run_bench(args)
         return _run_synth(args)
-    except (ConfigError, GridError, WindowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError, GridError, WindowError and StreamFormatError are
+        # all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:

@@ -65,18 +65,10 @@ def knn_local(points: Iterable[SpatialPoint], qx: float, qy: float,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dc = 0
-
-    def scored():
-        nonlocal dc
-        for p in points:
-            dc += 1
-            d = dist(p.x, p.y, qx, qy)
-            if d <= r:
-                yield (p, d)
-
-    best = heapq.nsmallest(k, scored(), key=rank_key)
-    return best, dc
+    points = list(points)
+    scored = [(p, d) for p in points
+              if (d := dist(p.x, p.y, qx, qy)) <= r]
+    return heapq.nsmallest(k, scored, key=rank_key), len(points)
 
 
 def knn_merge(partial_lists: Iterable[list[RankedPoint]], k: int) -> list[RankedPoint]:
@@ -125,8 +117,8 @@ def join_per_key(s1_points: Iterable[SpatialPoint], s2_replicas: Iterable[Replic
             for p in s1:
                 pairs.add((p.object_id, q.object_id))
         else:
+            dc += len(s1)
             for p in s1:
-                dc += 1
                 if dist(p.x, p.y, q.x, q.y) <= r:
                     pairs.add((p.object_id, q.object_id))
     return pairs, dc

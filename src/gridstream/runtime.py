@@ -53,8 +53,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
-_BROADCAST = -1
-
 
 class ConfigError(ValueError):
     """Pipeline wiring does not match the query."""
@@ -232,10 +230,10 @@ class RuntimeMetrics:
 
 
 # Record generators yield (event_time, placements) where placements is a
-# tuple of (dest, key, item): dest is an instance index, or _BROADCAST
-# for every instance; key is the windower bucket key. placements is None
-# when the record falls outside the grid extent, and item is None for a
-# point the layer test pruned: it is credited to dest but never windowed.
+# tuple of (dest, key, item): dest is an instance index and key is the
+# windower bucket key. placements is None when the record falls outside
+# the grid extent, and item is None for a point the layer test pruned:
+# it is credited to dest but never windowed.
 
 
 def _point_records(source: Iterator[SpatialPoint], grid: Grid, u: int,
@@ -275,8 +273,8 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
     query points as (False, replica). Keyed: an ordinary point goes to
     its cell's instance, a query point to every layer cell's instance,
     bucketed by cell. Naive: ordinary points are rebalanced and each
-    query point is broadcast once as a candidate replica, all in one
-    bucket."""
+    query point goes to every instance as one candidate replica, all in
+    one bucket."""
 
     def tagged(src, idx):
         for seq, p in enumerate(src):
@@ -294,8 +292,8 @@ def _join_records(sources: list[Iterator[SpatialPoint]], query: JoinQuery,
             elif src == 0:
                 yield (t, ((next(rr), None, (True, p)),))
             else:
-                yield (t, ((_BROADCAST, None,
-                            (False, Replica(key, False, p))),))
+                item = (False, Replica(key, False, p))
+                yield (t, tuple((d, None, item) for d in range(u)))
         return
     r_guar, r_cand = _layer_radii(query, grid)
     dest = _Memo(lambda key: route_keyed(key, grid.n_bits, u))
@@ -429,12 +427,6 @@ class _Executor:
             if max_start is None or ls > max_start:
                 max_start = ls
             for dest, key, item in placements:
-                if dest == _BROADCAST:
-                    for d in range(u):
-                        adders[d](t, item, key)
-                        tuples[d] += 1
-                    routed += u
-                    continue
                 tuples[dest] += 1
                 routed += 1
                 if item is None:

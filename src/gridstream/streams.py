@@ -165,33 +165,38 @@ def replay_file(path: str, fmt: str, speed: float = 0.0, loop_count: int = 1,
     """Replay a recorded file as a stream.
 
     speed > 0 sleeps so event-time gaps are reproduced at that multiple
-    of real time; speed == 0 replays as fast as possible. Extra loops
-    shift event times past the previous pass so time stays monotone.
+    of real time; speed == 0 replays as fast as possible. Each extra
+    pass is shifted so that its smallest event time lands 1 ms after the
+    previous pass's largest, so no record of a later pass falls behind
+    an earlier pass, even when the file is out of order.
     """
     if loop_count < 1:
         raise ValueError(f"loop_count must be >= 1, got {loop_count}")
     offset = 0
     for _ in range(loop_count):
         first_time: int | None = None
-        last_time: int | None = None
+        lo = hi = 0
         wall_start = time.monotonic()
         with open(path, "r", encoding="utf-8") as fh:
             for p in parse_lines(fh, fmt, stats):
+                t = p.event_time
                 if first_time is None:
-                    first_time = p.event_time
+                    first_time = lo = hi = t
+                elif t < lo:
+                    lo = t
+                elif t > hi:
+                    hi = t
                 if speed > 0:
-                    due = (p.event_time - first_time) / (1000.0 * speed)
+                    due = (t - first_time) / (1000.0 * speed)
                     delay = due - (time.monotonic() - wall_start)
                     if delay > 0:
                         time.sleep(delay)
-                shifted = p.event_time + offset
-                last_time = shifted
                 if offset:
-                    p = SpatialPoint(p.object_id, p.x, p.y, shifted)
+                    p = SpatialPoint(p.object_id, p.x, p.y, t + offset)
                 yield p
-        if last_time is None or first_time is None:
+        if first_time is None:
             break
-        offset = last_time + 1 - first_time
+        offset += hi + 1 - lo
 
 
 def tcp_source(host: str, port: int, fmt: str,

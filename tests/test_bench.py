@@ -10,16 +10,13 @@ from gridstream.bench import (
     AXES,
     BENCH_HEADER,
     BenchConfig,
-    Completions,
     bench_axis,
     synth_points,
     write_bench_csv,
     write_plot_data,
 )
 from gridstream.grid import build_grid
-from gridstream.runtime import (GRID_STAGES, ConfigError, PipelineConfig,
-                                RangeQuery, run_pipeline)
-from gridstream.windows import WindowSpec
+from gridstream.runtime import ConfigError
 
 
 def test_bench_axis_rejects_bad_sweeps_before_any_run(monkeypatch):
@@ -45,7 +42,7 @@ def _scripted_runs(monkeypatch, tps_by_call):
     def fake_run(cfg, kind, variant, s1, s2=None):
         tps = tps_by_call.get(len(calls), 1000.0)
         calls.append((cfg.r, variant))
-        return {"variant": variant, "throughput_tps": tps,
+        return {"throughput_tps": tps,
                 "distance_computations": 1 if variant == "grid" else 4,
                 "result_hash": "h"}
 
@@ -69,21 +66,6 @@ def test_bench_axis_reports_the_median_rep(monkeypatch):
     assert by_variant["grid"]["throughput_tps"] == 1000.0
     assert by_variant["naive"]["throughput_tps"] == 1000.0
     assert by_variant["grid"]["pruning_ratio"] == pytest.approx(0.75)
-
-
-def test_completions_bracket_first_and_second_to_last_window():
-    # One 40 ms tumbling window per point: 1,200 windows.
-    box = (0.0, 0.0, 90.0, 90.0)
-    grid = build_grid(*box, m=9, n_bits=4)
-    pts = synth_points(1200, box, 25.0, seed=52, start_ms=0)
-    q = RangeQuery(45.0, 45.0, 5.0, WindowSpec(length=40, slide=40))
-    done = Completions()
-    _, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
-                        PipelineConfig(parallelism=2), done)
-    assert m.windows_fired == len(done.batches) == 1200
-    assert done.first[1] == 0
-    assert done.penultimate[1] == 1198 * 40
-    assert done.first[0] <= done.penultimate[0]
 
 
 def test_synth_points_deterministic_and_monotone():

@@ -1,6 +1,7 @@
 """Command line entry point, exercised through main() on temp files."""
 
 import csv
+import io
 import json
 import os
 import random
@@ -14,7 +15,7 @@ import gridstream
 from gridstream.bench import BENCH_HEADER
 from gridstream.cli import main
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
-from gridstream.streams import ParseStats, parse_lines
+from gridstream.streams import ParseStats, format_geojson_line, parse_lines
 from gridstream.windows import earliest_start, latest_start
 
 BOX = "0,0,90,90"
@@ -46,7 +47,7 @@ def windows_of(pts, length=10000, slide=5000):
 
 def query_args(path, out, r="8", extra=()):
     return ["--input", str(path), "--bbox", BOX, "--grid", "30",
-            "--nbits", "8", "--r", r, "--out", str(out), *extra]
+            "--r", r, "--out", str(out), *extra]
 
 
 def test_synth_is_seed_deterministic(tmp_path):
@@ -169,6 +170,22 @@ def test_join_without_query_input_fails(tmp_path):
     assert main(["join", *query_args(path, out, r="4")]) == 2
 
 
+def test_stdin_source_matches_file_input(tmp_path, monkeypatch):
+    pts = load_points(synth(tmp_path, "s.csv", 400, seed=9))
+    path = tmp_path / "s.geojson"
+    text = "".join(format_geojson_line(p) + "\n" for p in pts)
+    path.write_text(text, encoding="utf-8")
+    from_file, from_stdin = tmp_path / "f.jsonl", tmp_path / "s.jsonl"
+    assert main(["range", *query_args(path, from_file), "--q", "40,50",
+                 "--format", "geojson"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    args = query_args(path, from_stdin)[2:]  # drop --input PATH
+    assert main(["range", *args, "--q", "40,50", "--format", "geojson",
+                 "--source", "stdin"]) == 0
+    assert from_file.read_bytes()
+    assert from_stdin.read_bytes() == from_file.read_bytes()
+
+
 def test_zero_radius_fails(tmp_path):
     path = synth(tmp_path, "s.csv", 50, seed=14)
     out = tmp_path / "res.jsonl"
@@ -178,7 +195,7 @@ def test_zero_radius_fails(tmp_path):
 
 def test_missing_input_file_fails(tmp_path):
     out = tmp_path / "res.jsonl"
-    rc = main(["range", "--bbox", BOX, "--grid", "30", "--nbits", "8",
+    rc = main(["range", "--bbox", BOX, "--grid", "30",
                "--r", "5", "--q", "40,50", "--out", str(out)])
     assert rc == 2
 

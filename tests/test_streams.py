@@ -179,6 +179,26 @@ def test_replay_file_loops_shift_time(tmp_path):
     assert [p.object_id for p in out] == [str(i) for i in range(10)] * 3
 
 
+@pytest.mark.parametrize("times,want", [
+    # Each pass must start after the previous pass's largest time
+    # (5000), not after its last record's (2000), or the second pass
+    # would fall behind the first.
+    ((0, 5000, 2000), [0, 5000, 2000, 5001, 10001, 7001,
+                       10002, 15002, 12002]),
+    # Nor after its first record's: the file's smallest time (0) comes
+    # second and must land past 5000 too.
+    ((2000, 5000, 0), [2000, 5000, 0, 7001, 10001, 5001,
+                       12002, 15002, 10002]),
+])
+def test_replay_file_loops_start_after_the_largest_time(tmp_path, times,
+                                                        want):
+    path = tmp_path / "pts.csv"
+    path.write_text("".join(format_csv_line(SpatialPoint("a", 1.0, 1.0, t))
+                            + "\n" for t in times))
+    out = list(replay_file(str(path), "csv", loop_count=3))
+    assert [p.event_time for p in out] == want
+
+
 def test_replay_speed_paces_emission(tmp_path):
     path = tmp_path / "pts.csv"
     # 400 ms of event time replayed at 2x should take around 200 ms
