@@ -26,8 +26,8 @@ from typing import IO, Iterable, Sequence
 
 from .grid import DEFAULT_BBOX, build_grid
 from .operators import batch_to_json
-from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
-                      KnnQuery, PipelineConfig, RangeQuery, run_pipeline)
+from .runtime import (ConfigError, JoinQuery, KnnQuery, PipelineConfig,
+                      RangeQuery, run_pipeline)
 from .streams import SpatialPoint, format_csv_line
 from .windows import WindowSpec
 
@@ -142,9 +142,8 @@ def run_once(cfg: BenchConfig, kind: str, variant: str,
         sources = [iter(s1), iter(s2)]
     else:
         raise ValueError(f"unknown query kind {kind!r}")
-    stages = (GRID_STAGES if variant == "grid" else NAIVE_STAGES)[kind]
     batches, metrics = run_pipeline(
-        sources, stages, query, grid,
+        sources, variant, query, grid,
         PipelineConfig(parallelism=cfg.parallelism))
     digest = hashlib.sha256(
         "\n".join(batch_to_json(b) for b in batches).encode()).hexdigest()

@@ -21,9 +21,8 @@ from typing import IO, Iterator
 
 from .grid import DEFAULT_BBOX, build_grid
 from .operators import batch_to_json
-from .runtime import (GRID_STAGES, NAIVE_STAGES, ConfigError, JoinQuery,
-                      KnnQuery, PipelineConfig, PipelineError, RangeQuery,
-                      run_pipeline)
+from .runtime import (ConfigError, JoinQuery, KnnQuery, PipelineConfig,
+                      PipelineError, RangeQuery, run_pipeline)
 from .streams import (ParseStats, SpatialPoint, parse_lines, replay_file,
                       tcp_source)
 from .windows import WindowSpec
@@ -70,7 +69,8 @@ def _add_stream_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replay-speed", type=float, default=0.0,
                    help="replay multiplier; 0 = as fast as possible")
     p.add_argument("--loop", type=int, default=1,
-                   help="replay the file this many times, shifting timestamps")
+                   help="replay the file this many times, shifting "
+                        "timestamps (range and knn only)")
 
 
 def _add_query_flags(p: argparse.ArgumentParser) -> None:
@@ -95,14 +95,22 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics-out", help="per-instance counter CSV")
 
 
+def _replay(args, path: str, stats: ParseStats) -> Iterator[SpatialPoint]:
+    """replay_file, with its file and --loop checked now rather than at
+    the first record, so a bad one exits 2 before --out is opened."""
+    if args.loop < 1:
+        raise ConfigError(f"--loop must be >= 1, got {args.loop}")
+    open(path, "rb").close()
+    return replay_file(path, args.format, args.replay_speed, args.loop, stats)
+
+
 def _open_source(args, path: str | None, stats: ParseStats
                  ) -> Iterator[SpatialPoint]:
     src = args.source
     if src == "file":
         if not path:
             raise ConfigError("--source file needs --input")
-        return replay_file(path, args.format, args.replay_speed, args.loop,
-                           stats)
+        return _replay(args, path, stats)
     if src == "stdin":
         return parse_lines(sys.stdin, args.format, stats)
     if src.startswith("tcp:"):
@@ -124,16 +132,18 @@ def _run_query(args, kind: str) -> int:
     elif kind == "knn":
         query = KnnQuery(args.q[0], args.q[1], args.r, args.k, window, metric)
     else:
+        if not args.query_input:
+            raise ConfigError("join needs --query-input for the query stream")
+        if args.loop > 1:
+            # Each file would loop by its own span, so the two streams
+            # would drift apart pass by pass.
+            raise ConfigError("join does not support --loop above 1")
         query = JoinQuery(args.r, window, metric)
-    stages = (NAIVE_STAGES if args.naive else GRID_STAGES)[kind]
 
     stats = ParseStats()
     sources = [_open_source(args, args.input, stats)]
     if kind == "join":
-        if not args.query_input:
-            raise ConfigError("join needs --query-input for the query stream")
-        sources.append(replay_file(args.query_input, args.format,
-                                   args.replay_speed, args.loop, stats))
+        sources.append(_replay(args, args.query_input, stats))
 
     out_fh: IO[str] = open(args.out, "w", encoding="utf-8") if args.out \
         else sys.stdout
@@ -144,8 +154,9 @@ def _run_query(args, kind: str) -> int:
             out_fh.flush()
 
         config = PipelineConfig(parallelism=args.parallelism)
-        _batches, metrics = run_pipeline(sources, stages, query, grid,
-                                         config, emit)
+        _batches, metrics = run_pipeline(
+            sources, "naive" if args.naive else "grid", query, grid, config,
+            emit)
     finally:
         if out_fh is not sys.stdout:
             out_fh.close()

@@ -1,8 +1,8 @@
 """A keyed streaming runtime that runs on one thread.
 
 The router consumes the source(s), drops out-of-extent and late records,
-assigns cell keys, and pushes each record into one of P stage-one
-instances: key-hashed for keyed stages, round-robin for rebalanced ones.
+assigns cell keys, and pushes each record into one of P instances:
+key-hashed by cell for the grid variant, round-robin for the naive one.
 The instances are logical partitions, plain objects called directly, as
 Flink runs chained operators in one task thread with no queue between
 them. For grid range/kNN queries the keyed filter's layer test runs in
@@ -42,10 +42,6 @@ from .operators import (Distance, Replica, ResultBatch, euclidean,
 from .streams import SpatialPoint
 from .windows import (SlidingWindower, WindowInstance, WindowSpec,
                       earliest_start, latest_start)
-
-KEYED = "keyed-by-cell"
-REBALANCE = "rebalance"
-MERGE = "merge-to-one"
 
 _FOREVER = math.inf
 
@@ -156,21 +152,16 @@ def _layer_radii(query: Query, grid: Grid) -> tuple[float, float | None]:
         return degree_radius_bounds(query.r, grid.min_y, grid.max_y)
     return query.r, None
 
-GRID_STAGES = {
-    "range": [KEYED, REBALANCE],
-    "knn": [KEYED, REBALANCE, MERGE],
-    "join": [KEYED],
-}
-NAIVE_STAGES = {
-    "range": [REBALANCE],
-    "knn": [REBALANCE, MERGE],
-    "join": [REBALANCE],
-}
+
+# Query kind -> variant name. Read only by perfbench's traced replay;
+# goes with ROADMAP item 4.
+GRID_STAGES = dict.fromkeys(("range", "knn", "join"), "grid")
+NAIVE_STAGES = dict.fromkeys(("range", "knn", "join"), "naive")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """parallelism is the number of stage-one instances."""
+    """parallelism is the number of instances, one per logical partition."""
 
     parallelism: int = 1
     # Read only by perfbench's traced replay; goes with ROADMAP item 4.
@@ -185,7 +176,6 @@ class PipelineConfig:
 class RuntimeMetrics:
     """Counters gathered from the router and every instance."""
 
-    parallelism: int = 1
     consumed: int = 0
     routed: int = 0
     dropped_outside: int = 0
@@ -352,7 +342,7 @@ def _combiner(query: Query) -> Callable[[list], Any]:
 
 
 class _Instance:
-    """One logical stage-one partition: its windower and its counters."""
+    """One logical partition: its windower and its counters."""
 
     __slots__ = ("name", "windower", "dc", "max_pending")
 
@@ -485,19 +475,7 @@ class _Executor:
                 self.callback(batch)
 
 
-def validate_stages(stages: list[str], query: Query) -> str:
-    """Return "grid" or "naive", or raise ConfigError for a bad stage list."""
-    if stages == GRID_STAGES[query.kind]:
-        return "grid"
-    if stages == NAIVE_STAGES[query.kind]:
-        return "naive"
-    raise ConfigError(
-        f"stages {stages!r} do not form a valid {query.kind} pipeline; "
-        f"expected {GRID_STAGES[query.kind]!r} (grid) "
-        f"or {NAIVE_STAGES[query.kind]!r} (naive)")
-
-
-def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
+def run_pipeline(sources: list[Iterator[SpatialPoint]], variant: str,
                  query: Query, grid: Grid,
                  config: PipelineConfig = PipelineConfig(),
                  callback: Callable[[ResultBatch], None] | None = None,
@@ -508,11 +486,13 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
     metrics. With a callback, each batch is passed to it as its window
     fires and none is kept: the returned list is empty, so memory stays
     bounded on an unbounded source, and metrics.windows_fired still
-    counts them. Raises ConfigError if the stage list does not match the
-    query, and PipelineError, carrying the original message, if a
-    source, an operator or the callback raises.
+    counts them. variant is "grid" or "naive". Raises ConfigError for
+    any other variant or a wiring that does not match the query, and
+    PipelineError, carrying the original message, if a source, an
+    operator or the callback raises.
     """
-    variant = validate_stages(stages, query)
+    if variant not in ("grid", "naive"):
+        raise ConfigError(f"unknown variant {variant!r}; use 'grid' or 'naive'")
     n_sources = 2 if query.kind == "join" else 1
     if len(sources) != n_sources:
         raise ConfigError(f"{query.kind} query needs {n_sources} source(s), "
@@ -522,7 +502,7 @@ def run_pipeline(sources: list[Iterator[SpatialPoint]], stages: list[str],
                           f"the grid extent")
 
     P = config.parallelism
-    metrics = RuntimeMetrics(parallelism=P)
+    metrics = RuntimeMetrics()
     if variant == "naive":
         prefix = "worker"
     else:

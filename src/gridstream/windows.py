@@ -57,7 +57,10 @@ class WindowInstance:
     start: int
     end: int
     buckets: dict[Hashable, list[Any]]
-    member_count: int
+
+    @property
+    def member_count(self) -> int:
+        return sum(len(bucket) for bucket in self.buckets.values())
 
     @property
     def members(self) -> Iterator[Any]:
@@ -80,7 +83,9 @@ class SlidingWindower:
 
     length: int
     slide: int
-    _pending: dict[int, list] = field(default_factory=dict)
+    # Window start -> that window's buckets, {key: [items]}.
+    _pending: dict[int, dict[Hashable, list[Any]]] = field(
+        default_factory=dict)
     # None until the first window fires; fire_ready then resumes here.
     _next_fire: int | None = None
 
@@ -97,14 +102,13 @@ class SlidingWindower:
         first = earliest_start(t, self.length, self.slide)
         last = latest_start(t, self.slide)
         for s in range(first, last + 1, self.slide):
-            entry = self._pending.get(s)
-            if entry is None:
-                entry = [0, {}]
-                self._pending[s] = entry
-            entry[0] += 1
-            bucket = entry[1].get(key)
+            buckets = self._pending.get(s)
+            if buckets is None:
+                self._pending[s] = {key: [item]}
+                continue
+            bucket = buckets.get(key)
             if bucket is None:
-                entry[1][key] = [item]
+                buckets[key] = [item]
             else:
                 bucket.append(item)
 
@@ -122,11 +126,8 @@ class SlidingWindower:
         fired: list[WindowInstance] = []
         s = first_start if self._next_fire is None else self._next_fire
         while s <= max_start and s + self.length <= watermark:
-            entry = self._pending.pop(s, None)
-            if entry is None:
-                fired.append(WindowInstance(s, s + self.length, {}, 0))
-            else:
-                fired.append(WindowInstance(s, s + self.length, entry[1], entry[0]))
+            fired.append(WindowInstance(s, s + self.length,
+                                        self._pending.pop(s, {})))
             s += self.slide
         if fired:
             self._next_fire = s

@@ -15,8 +15,6 @@ from gridstream.grid import CellCoord, build_grid, layer_params
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
 from gridstream.operators import batch_to_json
 from gridstream.runtime import (
-    GRID_STAGES,
-    NAIVE_STAGES,
     JoinQuery,
     KnnQuery,
     PipelineConfig,
@@ -84,7 +82,7 @@ def test_criterion_2_range_matches_oracle_everywhere(capsys):
                     qx = rng.uniform(1.0, 89.0)
                     qy = rng.uniform(1.0, 89.0)
                 query = RangeQuery(qx, qy, r, WINDOW)
-                batches, _ = run_pipeline([iter(pts)], GRID_STAGES["range"],
+                batches, _ = run_pipeline([iter(pts)], "grid",
                                           query, grid,
                                           PipelineConfig(parallelism=4))
                 for batch, (start, members) in zip(batches,
@@ -119,7 +117,7 @@ def test_criterion_3_knn_matches_oracle_everywhere(capsys):
                 qx = rng.uniform(1.0, 89.0)
                 qy = rng.uniform(1.0, 89.0)
             query = KnnQuery(qx, qy, r, k, WINDOW)
-            batches, _ = run_pipeline([iter(pts)], GRID_STAGES["knn"],
+            batches, _ = run_pipeline([iter(pts)], "grid",
                                       query, grid,
                                       PipelineConfig(parallelism=4))
             for batch, (start, members) in zip(batches, window_members(pts)):
@@ -151,7 +149,7 @@ def test_criterion_4_join_matches_oracle_everywhere(capsys):
         r = rng.uniform(0.3 * l, 5.0 * l)
         query = JoinQuery(r, WINDOW)
         batches, _ = run_pipeline([iter(pts), iter(qpts)],
-                                  GRID_STAGES["join"], query, grid,
+                                  "grid", query, grid,
                                   PipelineConfig(parallelism=4))
         both = pts + qpts
         for batch, (start, _) in zip(batches, window_members(both)):
@@ -186,7 +184,7 @@ def test_criterion_5_parallelism_invariance(capsys):
         outputs = set()
         for p in (1, 2, 4, 8):
             batches, _ = run_pipeline([iter(s) for s in streams],
-                                      GRID_STAGES[kind], query, grid,
+                                      "grid", query, grid,
                                       PipelineConfig(parallelism=p))
             outputs.add("\n".join(batch_to_json(b) for b in batches))
         stable.append(len(outputs) == 1)
@@ -205,9 +203,9 @@ def test_criterion_6_pruning_effectiveness(capsys):
     cy = (BEIJING[1] + BEIJING[3]) / 2
     grid = build_grid(*BEIJING, m=150, n_bits=16)
     query = RangeQuery(cx, cy, 0.004, WINDOW)
-    _, mg = run_pipeline([iter(pts)], GRID_STAGES["range"], query, grid,
+    _, mg = run_pipeline([iter(pts)], "grid", query, grid,
                          PipelineConfig(parallelism=4))
-    _, mn = run_pipeline([iter(pts)], NAIVE_STAGES["range"], query, grid,
+    _, mn = run_pipeline([iter(pts)], "naive", query, grid,
                          PipelineConfig(parallelism=4))
     layers = grid.layer_sets(grid.cell_of(cx, cy), query.r)
     layer_cells = len(layers.guaranteed) + len(layers.candidate)

@@ -200,6 +200,39 @@ def test_missing_input_file_fails(tmp_path):
     assert rc == 2
 
 
+def test_join_rejects_loop_above_one(tmp_path, capsys):
+    # Looped 3 times, each file would shift by its own span: the ordinary
+    # stream would replay at 0/10000/10001/20001/20002/30002 ms against
+    # query points at 0/4000/4001/8001/8002/12002 ms.
+    s1 = tmp_path / "s1.csv"
+    s1.write_text("a,0,10,10\nb,10000,20,20\n", encoding="utf-8")
+    s2 = tmp_path / "s2.csv"
+    s2.write_text("q1,0,10,10\nq2,4000,20,20\n", encoding="utf-8")
+    out = tmp_path / "res.jsonl"
+    rc = main(["join", *query_args(s1, out, r="4"),
+               "--query-input", str(s2), "--loop", "3"])
+    assert rc == 2
+    assert "--loop" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("range", ["--q", "40,50", "--input", "{missing}"]),
+    ("join", ["--query-input", "{missing}"]),
+    ("range", ["--q", "40,50", "--loop", "0"]),
+])
+def test_bad_input_exits_2_and_leaves_out_alone(tmp_path, kind, extra):
+    path = synth(tmp_path, "s.csv", 50, seed=15)
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "res.jsonl"
+    out.write_bytes(b"earlier results\n")
+    # A later --input overrides the one query_args gives.
+    rc = main([kind, *query_args(path, out, r="4"),
+               *[a.format(missing=missing) for a in extra]])
+    assert rc == 2
+    assert out.read_bytes() == b"earlier results\n"
+
+
 def test_bad_bbox_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["range", "--bbox", "1,2,3", "--r", "5", "--q", "40,50"])

@@ -16,8 +16,6 @@ from gridstream.grid import build_grid
 from gridstream.operators import ResultBatch, batch_to_json
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
 from gridstream.runtime import (
-    GRID_STAGES,
-    NAIVE_STAGES,
     ConfigError,
     JoinQuery,
     KnnQuery,
@@ -26,7 +24,6 @@ from gridstream.runtime import (
     RangeQuery,
     route_keyed,
     run_pipeline,
-    validate_stages,
 )
 from gridstream.streams import SpatialPoint
 from gridstream.windows import WindowSpec, earliest_start, latest_start
@@ -106,8 +103,8 @@ def expected_json(kind, pts, query, query_pts=None):
     return "\n".join(lines)
 
 
-def run_json(sources, stages, query, grid, config=PipelineConfig()):
-    batches, metrics = run_pipeline(sources, stages, query, grid, config)
+def run_json(sources, variant, query, grid, config=PipelineConfig()):
+    batches, metrics = run_pipeline(sources, variant, query, grid, config)
     return "\n".join(batch_to_json(b) for b in batches), metrics
 
 
@@ -148,7 +145,7 @@ def test_naive_rebalance_spreads_records_evenly():
     for q, sources in ((RangeQuery(45.0, 45.0, 5.0, WINDOW), [pts]),
                        (KnnQuery(45.0, 45.0, 5.0, 3, WINDOW), [pts]),
                        (JoinQuery(5.0, WINDOW), [pts, qpts])):
-        _, m = run_pipeline([iter(s) for s in sources], NAIVE_STAGES[q.kind],
+        _, m = run_pipeline([iter(s) for s in sources], "naive",
                             q, grid, PipelineConfig(parallelism=3))
         loads = [m.instance_tuples[f"worker-{i}"] for i in range(3)]
         assert max(loads) - min(loads) <= 1, (q.kind, loads)
@@ -158,20 +155,14 @@ def test_naive_rebalance_spreads_records_evenly():
 # ------------------------------------------------------------- validation
 
 
-def test_validate_stages_accepts_both_variants():
-    w = WINDOW
-    for query in (RangeQuery(10, 10, 5, w), KnnQuery(10, 10, 5, 3, w),
-                  JoinQuery(5, w)):
-        assert validate_stages(GRID_STAGES[query.kind], query) == "grid"
-        assert validate_stages(NAIVE_STAGES[query.kind], query) == "naive"
-
-
-def test_validate_stages_rejects_everything_else():
-    q = RangeQuery(10, 10, 5, WINDOW)
-    for stages in ([], ["rebalance", "keyed-by-cell"], ["keyed-by-cell"],
-                   GRID_STAGES["knn"], ["shuffle"]):
+def test_run_pipeline_rejects_an_unknown_variant():
+    grid = build_grid(*EXTENT, m=9, n_bits=4)
+    pts = make_points(10, 0)
+    q = RangeQuery(45, 45, 5, WINDOW)
+    for variant in ("", "Grid", "keyed-by-cell", ["grid"],
+                    ["keyed-by-cell", "rebalance"], None):
         with pytest.raises(ConfigError):
-            validate_stages(stages, q)
+            run_pipeline([iter(pts)], variant, q, grid)
 
 
 def test_query_validation():
@@ -192,12 +183,12 @@ def test_run_pipeline_config_errors():
     pts = make_points(10, 0)
     q = RangeQuery(45, 45, 5, WINDOW)
     with pytest.raises(ConfigError):
-        run_pipeline([iter(pts), iter(pts)], GRID_STAGES["range"], q, grid)
+        run_pipeline([iter(pts), iter(pts)], "grid", q, grid)
     with pytest.raises(ConfigError):
-        run_pipeline([iter(pts)], GRID_STAGES["join"],
+        run_pipeline([iter(pts)], "grid",
                      JoinQuery(5, WINDOW), grid)
     with pytest.raises(ConfigError):
-        run_pipeline([iter(pts)], GRID_STAGES["range"],
+        run_pipeline([iter(pts)], "grid",
                      RangeQuery(120, 45, 5, WINDOW), grid)
 
 
@@ -210,10 +201,9 @@ def test_range_pipeline_matches_oracle_for_any_parallelism():
     q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
     want = expected_json("range", pts, q)
     dcs = {}
-    for variant, stages in (("grid", GRID_STAGES["range"]),
-                            ("naive", NAIVE_STAGES["range"])):
+    for variant in ("grid", "naive"):
         for p in (1, 2, 4):
-            got, m = run_json([iter(pts)], stages, q, grid,
+            got, m = run_json([iter(pts)], variant, q, grid,
                               PipelineConfig(parallelism=p))
             assert got == want, (variant, p)
             dcs.setdefault(variant, set()).add(m.distance_computations)
@@ -226,11 +216,11 @@ def test_knn_pipeline_matches_oracle_for_any_parallelism():
     pts = make_points(1500, 22)
     q = KnnQuery(40.0, 50.0, 12.0, 7, WINDOW)
     want = expected_json("knn", pts, q)
-    for stages in (GRID_STAGES["knn"], NAIVE_STAGES["knn"]):
+    for variant in ("grid", "naive"):
         for p in (1, 3, 4):
-            got, _ = run_json([iter(pts)], stages, q, grid,
+            got, _ = run_json([iter(pts)], variant, q, grid,
                               PipelineConfig(parallelism=p))
-            assert got == want, (stages, p)
+            assert got == want, (variant, p)
 
 
 def test_join_pipeline_matches_oracle_for_any_parallelism():
@@ -239,11 +229,11 @@ def test_join_pipeline_matches_oracle_for_any_parallelism():
     qpts = make_points(80, 24, t_step=600, prefix="q")
     q = JoinQuery(4.0, WINDOW)
     want = expected_json("join", pts, q, qpts)
-    for stages in (GRID_STAGES["join"], NAIVE_STAGES["join"]):
+    for variant in ("grid", "naive"):
         for p in (1, 2, 4):
-            got, _ = run_json([iter(pts), iter(qpts)], stages, q, grid,
+            got, _ = run_json([iter(pts), iter(qpts)], variant, q, grid,
                               PipelineConfig(parallelism=p))
-            assert got == want, (stages, p)
+            assert got == want, (variant, p)
 
 
 def test_naive_distance_count_is_exhaustive():
@@ -261,10 +251,10 @@ def test_naive_distance_count_is_exhaustive():
         config = PipelineConfig(parallelism=p)
         for q in (RangeQuery(45.0, 45.0, 10.0, WINDOW),
                   KnnQuery(45.0, 45.0, 10.0, 5, WINDOW)):
-            _, m = run_pipeline([iter(pts)], NAIVE_STAGES[q.kind], q, grid,
+            _, m = run_pipeline([iter(pts)], "naive", q, grid,
                                 config)
             assert m.distance_computations == members, (q.kind, p)
-        _, m = run_pipeline([iter(pts), iter(qpts)], NAIVE_STAGES["join"],
+        _, m = run_pipeline([iter(pts), iter(qpts)], "naive",
                             JoinQuery(10.0, WINDOW), grid, config)
         assert m.distance_computations == pairs, ("join", p)
 
@@ -275,7 +265,7 @@ def test_join_spreads_work_across_instances():
     qpts = make_points(60, 29, t_step=400, prefix="q")
     q = JoinQuery(4.0, WINDOW)
     want = expected_json("join", pts, q, qpts)
-    got, m = run_json([iter(pts), iter(qpts)], GRID_STAGES["join"], q, grid,
+    got, m = run_json([iter(pts), iter(qpts)], "grid", q, grid,
                       PipelineConfig(parallelism=3))
     assert got == want
     loads = [m.instance_tuples.get(f"join-{i}", 0) for i in range(3)]
@@ -290,7 +280,7 @@ def test_metrics_accounting_for_keyed_range():
     grid = build_grid(*EXTENT, m=30, n_bits=8)
     pts = make_points(800, 30)
     q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
-    batches, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+    batches, m = run_pipeline([iter(pts)], "grid", q, grid,
                               PipelineConfig(parallelism=4))
     assert m.consumed == 800
     assert m.routed == 800
@@ -319,7 +309,7 @@ def test_pruned_tuples_match_brute_force_layer_count():
         assert want > 0
         for q in (rq, KnnQuery(rq.x, rq.y, rq.r, 5, window)):
             for p in (1, 4):
-                _, m = run_pipeline([iter(pts)], GRID_STAGES[q.kind], q, grid,
+                _, m = run_pipeline([iter(pts)], "grid", q, grid,
                                     PipelineConfig(parallelism=p))
                 assert m.summary()["pruned_tuples"] == want, (q.kind, p)
                 filters = sum(v for name, v in m.instance_tuples.items()
@@ -339,8 +329,8 @@ def test_grid_and_naive_drop_the_same_late_records():
     for q in (RangeQuery(40.0, 50.0, 4.0, w), KnnQuery(40.0, 50.0, 4.0, 3, w)):
         for p in (1, 4):
             cfg = PipelineConfig(parallelism=p)
-            got, mg = run_json([iter(pts)], GRID_STAGES[q.kind], q, grid, cfg)
-            want, mn = run_json([iter(pts)], NAIVE_STAGES[q.kind], q, grid,
+            got, mg = run_json([iter(pts)], "grid", q, grid, cfg)
+            want, mn = run_json([iter(pts)], "naive", q, grid,
                                 cfg)
             assert mg.late_dropped > 0, (q.kind, p)
             assert mg.late_dropped == mn.late_dropped, (q.kind, p)
@@ -366,11 +356,11 @@ def test_out_of_order_runs_match_the_event_time_reference():
             [p for p in kept if p.object_id.startswith("q")]
         want = expected_json(q.kind, kept_p, q, kept_q)
         sources = [pts] if query_pts is None else [pts, query_pts]
-        for stages in (GRID_STAGES[q.kind], NAIVE_STAGES[q.kind]):
+        for variant in ("grid", "naive"):
             for p in (1, 3):
-                got, _ = run_json([iter(s) for s in sources], stages, q,
+                got, _ = run_json([iter(s) for s in sources], variant, q,
                                   grid, PipelineConfig(parallelism=p))
-                assert got == want, (q.kind, stages, p)
+                assert got == want, (q.kind, variant, p)
 
 
 def test_out_of_order_haversine_range_matches_metric_brute_force():
@@ -386,11 +376,11 @@ def test_out_of_order_haversine_range_matches_metric_brute_force():
         lines.append(batch_to_json(ResultBatch(s, s + w.length, "range",
                                                hit)))
     want = "\n".join(lines)
-    for stages in (GRID_STAGES["range"], NAIVE_STAGES["range"]):
+    for variant in ("grid", "naive"):
         for p in (1, 3):
-            got, _ = run_json([iter(pts)], stages, q, grid,
+            got, _ = run_json([iter(pts)], variant, q, grid,
                               PipelineConfig(parallelism=p))
-            assert got == want, (stages, p)
+            assert got == want, (variant, p)
 
 
 def test_every_record_lands_in_one_counter():
@@ -417,11 +407,11 @@ def test_every_record_lands_in_one_counter():
                 [p for p in consumption_order(pts, query_pts)
                  if grid.contains(p.x, p.y)], w.lateness))
             sources = [pts] if query_pts is None else [pts, query_pts]
-            for stages in (GRID_STAGES[q.kind], NAIVE_STAGES[q.kind]):
+            for variant in ("grid", "naive"):
                 for p in (1, 3):
-                    _, m = run_pipeline([iter(s) for s in sources], stages,
+                    _, m = run_pipeline([iter(s) for s in sources], variant,
                                         q, grid, PipelineConfig(parallelism=p))
-                    ctx = (name, q.kind, stages, p)
+                    ctx = (name, q.kind, variant, p)
                     assert m.consumed == sum(map(len, sources)), ctx
                     assert m.dropped_outside == len(outliers), ctx
                     assert m.consumed == (m.dropped_outside + m.late_dropped
@@ -442,7 +432,7 @@ def test_points_outside_extent_are_dropped_and_counted():
     mixed = sorted(inside + outliers, key=lambda p: p.event_time)
     q = RangeQuery(45.0, 45.0, 20.0, WINDOW)
     want = expected_json("range", inside, q)
-    got, m = run_json([iter(mixed)], GRID_STAGES["range"], q, grid)
+    got, m = run_json([iter(mixed)], "grid", q, grid)
     assert got == want
     assert m.consumed == 207
     assert m.dropped_outside == 7
@@ -457,7 +447,7 @@ def test_late_records_are_dropped_whole():
     q = RangeQuery(45.0, 45.0, 20.0, WINDOW)
     survivors = pts[:2]
     want = expected_json("range", survivors, q)
-    got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
+    got, m = run_json([iter(pts)], "grid", q, grid,
                       PipelineConfig(parallelism=2))
     assert got == want
     assert m.late_dropped == 1
@@ -472,7 +462,7 @@ def test_lateness_bound_keeps_slow_records():
     w = WindowSpec(length=10000, slide=5000, lateness=15000)
     q = RangeQuery(45.0, 45.0, 20.0, w)
     want = expected_json("range", pts, q)
-    got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
+    got, m = run_json([iter(pts)], "grid", q, grid,
                       PipelineConfig(parallelism=2))
     assert got == want
     assert m.late_dropped == 0
@@ -483,7 +473,7 @@ def test_pending_windows_stay_bounded():
     pts = make_points(3000, 32, t_step=100)
     w = WindowSpec(length=20000, slide=4000)
     q = RangeQuery(45.0, 45.0, 10.0, w)
-    _, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+    _, m = run_pipeline([iter(pts)], "grid", q, grid,
                         PipelineConfig(parallelism=2))
     bound = math.ceil(w.length / w.slide) + 1
     assert m.instance_max_pending
@@ -494,7 +484,7 @@ def test_pending_windows_stay_bounded():
 def test_empty_stream_yields_no_windows():
     grid = build_grid(*EXTENT, m=9, n_bits=4)
     q = RangeQuery(45.0, 45.0, 5.0, WINDOW)
-    batches, m = run_pipeline([iter([])], GRID_STAGES["range"], q, grid)
+    batches, m = run_pipeline([iter([])], "grid", q, grid)
     assert batches == []
     assert m.windows_fired == 0
     assert m.consumed == 0
@@ -504,7 +494,7 @@ def test_single_point_stream():
     grid = build_grid(*EXTENT, m=9, n_bits=4)
     p = SpatialPoint("only", 45.0, 45.0, 0)
     q = RangeQuery(45.0, 45.0, 5.0, WINDOW)
-    batches, m = run_pipeline([iter([p])], GRID_STAGES["range"], q, grid)
+    batches, m = run_pipeline([iter([p])], "grid", q, grid)
     assert [(b.window_start, b.window_end) for b in batches] == [(0, 10000)]
     assert set(batches[0].payload) == {p}
     assert m.windows_fired == 1
@@ -515,7 +505,7 @@ def test_empty_windows_inside_a_gap_still_fire():
     pts = [SpatialPoint("a", 45.0, 45.0, 1000),
            SpatialPoint("b", 45.5, 45.0, 31000)]
     q = RangeQuery(45.0, 45.0, 20.0, WINDOW)
-    batches, _ = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+    batches, _ = run_pipeline([iter(pts)], "grid", q, grid,
                               PipelineConfig(parallelism=3))
     starts = [b.window_start for b in batches]
     assert starts == [0, 5000, 10000, 15000, 20000, 25000, 30000]
@@ -532,7 +522,7 @@ def test_failing_source_surfaces_as_pipeline_error():
 
     q = RangeQuery(45.0, 45.0, 5.0, WINDOW)
     with pytest.raises(PipelineError) as exc:
-        run_pipeline([broken()], GRID_STAGES["range"], q, grid,
+        run_pipeline([broken()], "grid", q, grid,
                      PipelineConfig(parallelism=2))
     assert "stream cut" in str(exc.value)
 
@@ -542,7 +532,7 @@ def test_callback_run_keeps_no_batches_but_counts_windows():
     pts = make_points(900, 37)
     q = RangeQuery(40.0, 50.0, 8.0, WINDOW)
     seen = []
-    batches, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+    batches, m = run_pipeline([iter(pts)], "grid", q, grid,
                               PipelineConfig(parallelism=2), seen.append)
     assert batches == []
     assert m.windows_fired == len(window_members(pts, WINDOW)) == len(seen)
@@ -556,7 +546,7 @@ def test_callback_run_holds_bounded_metrics():
     grid = build_grid(*EXTENT, m=9, n_bits=4)
     pts = make_points(1200, 52)
     q = RangeQuery(45.0, 45.0, 5.0, WindowSpec(length=40, slide=40))
-    _, m = run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+    _, m = run_pipeline([iter(pts)], "grid", q, grid,
                         PipelineConfig(parallelism=2), lambda batch: None)
     assert m.windows_fired == 1200
     for name, value in vars(m).items():
@@ -573,7 +563,7 @@ def test_failing_callback_surfaces_as_pipeline_error():
         raise BrokenPipeError("reader went away")
 
     with pytest.raises(PipelineError) as exc:
-        run_pipeline([iter(pts)], GRID_STAGES["range"], q, grid,
+        run_pipeline([iter(pts)], "grid", q, grid,
                      PipelineConfig(parallelism=2), closed_pipe)
     assert "reader went away" in str(exc.value)
 
@@ -582,7 +572,7 @@ def test_haversine_range_matches_metric_brute_force():
     grid = build_grid(116.0, 39.0, 117.0, 40.0, m=20, n_bits=8)
     pts = make_points(800, 33, extent=(116.0, 39.0, 117.0, 40.0))
     q = RangeQuery(116.5, 39.5, 3000.0, WINDOW, metric="haversine")
-    got, m = run_json([iter(pts)], GRID_STAGES["range"], q, grid,
+    got, m = run_json([iter(pts)], "grid", q, grid,
                       PipelineConfig(parallelism=2))
     lines = []
     for s, members in window_members(pts, WINDOW):
@@ -591,7 +581,7 @@ def test_haversine_range_matches_metric_brute_force():
         lines.append(batch_to_json(ResultBatch(s, s + WINDOW.length,
                                                "range", hit)))
     assert got == "\n".join(lines)
-    naive, mn = run_json([iter(pts)], NAIVE_STAGES["range"], q, grid)
+    naive, mn = run_json([iter(pts)], "naive", q, grid)
     assert naive == got
     assert m.distance_computations < mn.distance_computations
 
@@ -613,10 +603,10 @@ def test_haversine_knn_matches_metric_brute_force():
         lines.append(batch_to_json(ResultBatch(s, s + WINDOW.length,
                                                "knn", hit)))
     want = "\n".join(lines)
-    for stages in (GRID_STAGES["knn"], NAIVE_STAGES["knn"]):
-        got, _ = run_json([iter(pts)], stages, q, grid,
+    for variant in ("grid", "naive"):
+        got, _ = run_json([iter(pts)], variant, q, grid,
                           PipelineConfig(parallelism=2))
-        assert got == want, stages
+        assert got == want, variant
 
 
 def test_haversine_join_matches_metric_brute_force():
@@ -635,10 +625,10 @@ def test_haversine_join_matches_metric_brute_force():
                  and haversine_m(p.x, p.y, o.x, o.y) <= q.r}
         lines.append(batch_to_json(ResultBatch(s, end, "join", pairs)))
     want = "\n".join(lines)
-    got, m = run_json([iter(pts), iter(qpts)], GRID_STAGES["join"], q, grid,
+    got, m = run_json([iter(pts), iter(qpts)], "grid", q, grid,
                       PipelineConfig(parallelism=2))
     assert got == want
-    naive, mn = run_json([iter(pts), iter(qpts)], NAIVE_STAGES["join"], q,
+    naive, mn = run_json([iter(pts), iter(qpts)], "naive", q,
                          grid, PipelineConfig(parallelism=2))
     assert naive == want
     assert m.distance_computations < mn.distance_computations
