@@ -96,11 +96,10 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _replay(args, path: str, stats: ParseStats) -> Iterator[SpatialPoint]:
-    """replay_file, with its file and --loop checked now rather than at
-    the first record, so a bad one exits 2 before --out is opened."""
+    """replay_file, which checks its file now rather than at the first
+    record, so a bad file or --loop exits 2 before --out is opened."""
     if args.loop < 1:
         raise ConfigError(f"--loop must be >= 1, got {args.loop}")
-    open(path, "rb").close()
     return replay_file(path, args.format, args.replay_speed, args.loop, stats)
 
 

@@ -398,6 +398,10 @@ class _Executor:
         next_end: float = _FOREVER
         first_start: int | None = None
         max_start: int | None = None
+        # The window starts and window count below are those of last_t,
+        # the last accepted event time: taxi logs repeat a stamp for many
+        # records, so they are recomputed only when t changes.
+        last_t: int | None = None
 
         for t, placements in records:
             consumed += 1
@@ -407,20 +411,24 @@ class _Executor:
             if t < watermark:
                 late += 1
                 continue
-            es = earliest_start(t, length, slide)
-            ls = latest_start(t, slide)
-            if first_start is None or es < first_start:
-                # Only before the first firing: afterwards every accepted
-                # record starts at or past the earliest unfired window.
-                first_start = es
-                next_end = es + length
-            if max_start is None or ls > max_start:
-                max_start = ls
+            if t != last_t:
+                last_t = t
+                es = earliest_start(t, length, slide)
+                ls = latest_start(t, slide)
+                n_windows = (ls - es) // slide + 1
+                if first_start is None or es < first_start:
+                    # Only before the first firing: afterwards every
+                    # accepted record starts at or past the earliest
+                    # unfired window.
+                    first_start = es
+                    next_end = es + length
+                if max_start is None or ls > max_start:
+                    max_start = ls
             for dest, key, item in placements:
                 tuples[dest] += 1
                 routed += 1
                 if item is None:
-                    pruned_members += (ls - es) // slide + 1
+                    pruned_members += n_windows
                 else:
                     adders[dest](t, item, key)
             if t - lateness > watermark:

@@ -16,12 +16,12 @@ framed connections on a TCP port.
 
 from __future__ import annotations
 
-import calendar
 import json
 import socket
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from math import isfinite
 from typing import Iterable, Iterator
 
@@ -40,23 +40,37 @@ class SpatialPoint:
     event_time: int
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MILLISECOND = timedelta(milliseconds=1)
+
+
+@lru_cache(maxsize=256)
 def parse_timestamp(text: str) -> int:
-    """ISO-ish datetime or integer string to epoch milliseconds (UTC)."""
+    """ISO-ish datetime or integer string to epoch milliseconds (UTC).
+
+    Cached on the raw text: trajectory logs are second-granular, so most
+    records repeat a recent stamp. The cache holds enough stamps for the
+    disorder an allowed lateness admits, never keeps a raised error, and
+    is safe to call from several threads. A miss, as on every record
+    that closes a window, runs code the hits leave cold, so it is kept
+    short: an ISO date skips int(), which would raise on it.
+    """
     text = text.strip()
     if not text:
         raise StreamFormatError("empty timestamp")
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    # An ISO date has "-" at index 4; an integer never has.
+    if text[4:5] != "-":
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
         raise StreamFormatError(f"bad timestamp {text!r}") from exc
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    millis = calendar.timegm(dt.timetuple()) * 1000 + dt.microsecond // 1000
-    return millis
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH) // _MILLISECOND
 
 
 def format_timestamp(millis: int) -> str:
@@ -169,9 +183,18 @@ def replay_file(path: str, fmt: str, speed: float = 0.0, loop_count: int = 1,
     pass is shifted so that its smallest event time lands 1 ms after the
     previous pass's largest, so no record of a later pass falls behind
     an earlier pass, even when the file is out of order.
+
+    A loop_count below 1 raises ValueError, and a file that cannot be
+    opened raises its OSError, here rather than at the first record.
     """
     if loop_count < 1:
         raise ValueError(f"loop_count must be >= 1, got {loop_count}")
+    open(path, "rb").close()
+    return _replay_passes(path, fmt, speed, loop_count, stats)
+
+
+def _replay_passes(path: str, fmt: str, speed: float, loop_count: int,
+                   stats: ParseStats | None) -> Iterator[SpatialPoint]:
     offset = 0
     for _ in range(loop_count):
         first_time: int | None = None

@@ -15,7 +15,9 @@ import gridstream
 from gridstream.bench import BENCH_HEADER
 from gridstream.cli import main
 from gridstream.oracle import oracle_join, oracle_knn, oracle_range
-from gridstream.streams import ParseStats, format_geojson_line, parse_lines
+from gridstream.streams import (ParseStats, format_geojson_line,
+                                format_timestamp, parse_lines,
+                                parse_timestamp)
 from gridstream.windows import earliest_start, latest_start
 
 BOX = "0,0,90,90"
@@ -231,6 +233,23 @@ def test_bad_input_exits_2_and_leaves_out_alone(tmp_path, kind, extra):
                *[a.format(missing=missing) for a in extra]])
     assert rc == 2
     assert out.read_bytes() == b"earlier results\n"
+
+
+def test_cli_parses_each_distinct_stamp_once(tmp_path):
+    # Whole-second stamps, as in a taxi log (synth writes milliseconds):
+    # n lines share d stamps, so all but d parses are cache hits.
+    rng = random.Random(19)
+    d, per = 12, 40
+    lines = [f"{s}-{j},{format_timestamp(1201966568000 + 1000 * s)},"
+             f"{rng.uniform(0, 90)!r},{rng.uniform(0, 90)!r}\n"
+             for s in range(d) for j in range(per)]
+    path = tmp_path / "seconds.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    hits = parse_timestamp.cache_info().hits
+    rc = main(["range", *query_args(path, tmp_path / "res.jsonl"),
+               "--q", "40,50"])
+    assert rc == 0
+    assert parse_timestamp.cache_info().hits - hits >= d * per - d
 
 
 def test_bad_bbox_is_an_argparse_error(tmp_path):

@@ -8,6 +8,7 @@ agree.
 import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -422,6 +423,70 @@ def test_every_record_lands_in_one_counter():
                         assert m.late_dropped == 0, ctx
                     else:
                         assert m.late_dropped > 0, ctx
+
+
+def second_runs(n, seed, extent=EXTENT):
+    """Points whose times come in runs of whole seconds, as in a taxi
+    log: a tenth are 1 s behind the largest time so far, and a few are
+    4 s behind. Every even second is a multiple of a 2 s slide."""
+    rng = random.Random(seed)
+    x0, y0, x1, y1 = extent
+    pts, sec = [], 1
+    for i in range(n):
+        if rng.random() < 0.15:
+            sec += 1
+        d = rng.random()
+        back = 1 if d < 0.1 else 4 if d < 0.13 else 0
+        pts.append(SpatialPoint(f"p{i}", rng.uniform(x0, x1),
+                                rng.uniform(y0, y1), (sec - back) * 1000))
+    return pts
+
+
+def test_repeated_event_times_match_the_brute_force():
+    # The router computes window starts once per run of equal times;
+    # outputs and every counter must match the reference on each record.
+    grid = build_grid(*EXTENT, m=30, n_bits=8)
+    pts = second_runs(2000, 53)
+    for w in (WindowSpec(length=7000, slide=2000, lateness=1500),
+              WindowSpec(length=10000, slide=5000, lateness=1500)):
+        kept = keep_in_time(pts, w.lateness)
+        kept_ids = {p.object_id for p in kept}
+        assert 0 < len(pts) - len(kept) < len(pts) // 10
+        times = [p.event_time for p in kept]
+        assert len(set(times)) < len(times) // 5
+        assert any(a > b for a, b in zip(times, times[1:]))
+        assert any(t % w.slide == 0 for t in times)
+        windows = window_members(kept, w)
+        rq = RangeQuery(40.0, 50.0, 8.0, w)
+        layers = grid.layer_sets(grid.cell_of(rq.x, rq.y), rq.r)
+        layer = layers.guaranteed | layers.candidate
+        pruned = sum(1 for _, members in windows for p in members
+                     if grid.cell_of(p.x, p.y) not in layer)
+        assert pruned > 0
+        for q in (rq, KnnQuery(rq.x, rq.y, rq.r, 5, w)):
+            want = expected_json(q.kind, kept, q)
+            for variant in ("grid", "naive"):
+                for p in (1, 4):
+                    got, m = run_json([iter(pts)], variant, q, grid,
+                                      PipelineConfig(parallelism=p))
+                    ctx = (w, q.kind, variant, p)
+                    assert got == want, ctx
+                    assert m.late_dropped == len(pts) - len(kept), ctx
+                    assert m.windows_fired == len(windows), ctx
+                    if variant == "grid":
+                        dests = Counter(route_keyed(
+                            grid.key_of(pt.x, pt.y), grid.n_bits, p)
+                            for pt in kept)
+                        assert m.pruned_members == pruned, ctx
+                        assert m.instance_tuples == {
+                            f"filter-{i}": dests[i] for i in range(p)}, ctx
+                    else:
+                        # Round-robin runs before the late check.
+                        dests = Counter(i % p for i, pt in enumerate(pts)
+                                        if pt.object_id in kept_ids)
+                        assert m.pruned_members == 0, ctx
+                        assert m.instance_tuples == {
+                            f"worker-{i}": dests[i] for i in range(p)}, ctx
 
 
 def test_points_outside_extent_are_dropped_and_counted():

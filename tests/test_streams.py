@@ -4,7 +4,7 @@ import random
 import socket
 import threading
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -37,6 +37,69 @@ def test_parse_timestamp_forms():
     assert parse_timestamp(str(want)) == want
     with pytest.raises(StreamFormatError):
         parse_timestamp("yesterday")
+
+
+def test_cached_parse_timestamp_interleaved_stamps():
+    a, b = "2008-02-02 15:36:08", "2008-02-02 15:36:09"
+    want_a = _epoch_ms(2008, 2, 2, 15, 36, 8)
+    got = [parse_timestamp(s) for s in (a, b, a, b, a)]
+    assert got == [want_a, want_a + 1000, want_a, want_a + 1000, want_a]
+
+
+def test_cached_parse_timestamp_keeps_the_offset():
+    clock = "2008-02-02 15:36:08"
+    utc = _epoch_ms(2008, 2, 2, 15, 36, 8)
+    for _ in range(2):
+        assert parse_timestamp(clock + "+08:00") == utc - 8 * 3600 * 1000
+        assert parse_timestamp(clock + "+00:00") == utc
+
+
+def test_cached_parse_timestamp_fractions_and_integers():
+    base = _epoch_ms(2008, 2, 2, 15, 36, 8)
+    for _ in range(2):
+        assert parse_timestamp("2008-02-02 15:36:08.250") == base + 250
+        assert parse_timestamp("2008-02-02 15:36:08.123456") == base + 123
+        assert parse_timestamp("2008-02-02 15:36:08") == base
+        assert parse_timestamp(str(base)) == base
+        assert parse_timestamp(str(base + 999)) == base + 999
+        assert parse_timestamp("0") == 0
+        assert parse_timestamp("-1500") == -1500
+        # Also an ISO basic date, but an integer string comes first.
+        assert parse_timestamp("20080202") == 20080202
+
+
+@pytest.mark.parametrize("bad", ["2008-02-02 15:36:6x", "yesterday", "", " "])
+def test_bad_stamp_raises_every_time(bad):
+    good = "2008-02-02 15:36:08"
+    want = _epoch_ms(2008, 2, 2, 15, 36, 8)
+    for _ in range(3):
+        assert parse_timestamp(good) == want
+        with pytest.raises(StreamFormatError):
+            parse_timestamp(bad)
+    assert parse_timestamp(good) == want
+
+
+def test_replay_of_repeated_stamps_matches_datetime(tmp_path):
+    # Runs of whole-second stamps, a tenth of them a second or two
+    # behind, as in a taxi log.
+    rng = random.Random(61)
+    base = datetime(2008, 2, 2, 15, 36, 0, tzinfo=timezone.utc)
+    lines, want = [], []
+    sec = 0
+    for i in range(800):
+        if rng.random() < 0.1:
+            sec += 1
+        back = rng.choice((1, 2)) if rng.random() < 0.1 else 0
+        when = base + timedelta(seconds=max(sec - back, 0))
+        x, y = rng.uniform(116, 117), rng.uniform(39, 40)
+        lines.append(f"{i},{when:%Y-%m-%d %H:%M:%S},{x!r},{y!r}\n")
+        want.append(SpatialPoint(str(i), x, y,
+                                 int(when.timestamp()) * 1000))
+    assert len({p.event_time for p in want}) < len(want) // 5
+    assert any(a.event_time > b.event_time for a, b in zip(want, want[1:]))
+    path = tmp_path / "runs.csv"
+    path.write_text("".join(lines))
+    assert list(replay_file(str(path), "csv")) == want
 
 
 def test_parse_geojson_origin_feature():
@@ -197,6 +260,15 @@ def test_replay_file_loops_start_after_the_largest_time(tmp_path, times,
                             + "\n" for t in times))
     out = list(replay_file(str(path), "csv", loop_count=3))
     assert [p.event_time for p in out] == want
+
+
+def test_replay_file_checks_its_arguments_at_call_time(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        replay_file(str(tmp_path / "nonexistent.csv"), "csv")
+    path = tmp_path / "pts.csv"
+    path.write_text("a,0,1.0,1.0\n")
+    with pytest.raises(ValueError):
+        replay_file(str(path), "csv", loop_count=0)
 
 
 def test_replay_speed_paces_emission(tmp_path):
