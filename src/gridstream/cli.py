@@ -96,8 +96,9 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _replay(args, path: str, stats: ParseStats) -> Iterator[SpatialPoint]:
-    """replay_file, which checks its file now rather than at the first
-    record, so a bad file or --loop exits 2 before --out is opened."""
+    """replay_file, which checks its file and speed now rather than at
+    the first record, so a bad file, --replay-speed or --loop exits 2
+    before --out is opened."""
     if args.loop < 1:
         raise ConfigError(f"--loop must be >= 1, got {args.loop}")
     return replay_file(path, args.format, args.replay_speed, args.loop, stats)
@@ -117,6 +118,8 @@ def _open_source(args, path: str | None, stats: ParseStats
             port = int(src[4:])
         except ValueError:
             raise ConfigError(f"bad tcp source {src!r}")
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"tcp port must be 1-65535, got {port}")
         return tcp_source("127.0.0.1", port, args.format, stats)
     raise ConfigError(f"unknown source {src!r}; use file, stdin, or tcp:<port>")
 
@@ -140,9 +143,11 @@ def _run_query(args, kind: str) -> int:
         query = JoinQuery(args.r, window, metric)
 
     stats = ParseStats()
-    sources = [_open_source(args, args.input, stats)]
-    if kind == "join":
-        sources.append(_replay(args, args.query_input, stats))
+    # The query file is checked first: a tcp: source binds its port as
+    # soon as it is opened.
+    query_src = [_replay(args, args.query_input, stats)] if kind == "join" \
+        else []
+    sources = [_open_source(args, args.input, stats), *query_src]
 
     out_fh: IO[str] = open(args.out, "w", encoding="utf-8") if args.out \
         else sys.stdout

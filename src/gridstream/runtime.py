@@ -45,9 +45,8 @@ from .windows import (SlidingWindower, WindowInstance, WindowSpec,
 
 _FOREVER = math.inf
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
+# 2**64 / golden ratio, odd: Knuth's multiplier for Fibonacci hashing.
+_FIB_MULT = 0x9E3779B97F4A7C15
 
 
 class ConfigError(ValueError):
@@ -59,16 +58,18 @@ class PipelineError(RuntimeError):
     aborted."""
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _FNV_MASK
-    return h
-
-
 def route_keyed(cell: int, n_bits: int, p: int) -> int:
-    """Stable instance index for a cell key: FNV-1a of the key's bit string."""
-    return fnv1a64(format(cell, f"0{2 * n_bits}b").encode("ascii")) % p
+    """Instance index in [0, p) for a cell key of width 2*n_bits.
+
+    Fibonacci hashing (Knuth, TAOCP vol. 3, section 6.4): multiply the key
+    by an odd constant modulo 2**(2*n_bits) and take the high n_bits of
+    the product, so every key bit reaches the result; then reduce mod p.
+    Plain integer arithmetic on the key, independent of its x/y layout
+    and of hash(), so a cell picks the same instance in every run and
+    every process.
+    """
+    mask = (1 << 2 * n_bits) - 1
+    return (((cell * _FIB_MULT) & mask) >> n_bits) % p
 
 
 class _Memo(dict):
@@ -380,8 +381,8 @@ class _Executor:
         self.evaluate = evaluate
         self.combine = combine
         self.metrics = metrics
-        self.callback = callback
         self.results: list[ResultBatch] = []
+        self.emit = callback or self.results.append
 
     def run(self, records) -> None:
         metrics = self.metrics
@@ -477,10 +478,7 @@ class _Executor:
             batch = ResultBatch(first.start, first.end, kind,
                                 self.combine(partials))
             metrics.windows_fired += 1
-            if self.callback is None:
-                self.results.append(batch)
-            else:
-                self.callback(batch)
+            self.emit(batch)
 
 
 def run_pipeline(sources: list[Iterator[SpatialPoint]], variant: str,

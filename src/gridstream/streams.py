@@ -184,9 +184,12 @@ def replay_file(path: str, fmt: str, speed: float = 0.0, loop_count: int = 1,
     previous pass's largest, so no record of a later pass falls behind
     an earlier pass, even when the file is out of order.
 
-    A loop_count below 1 raises ValueError, and a file that cannot be
-    opened raises its OSError, here rather than at the first record.
+    A negative or NaN speed or a loop_count below 1 raises ValueError,
+    and a file that cannot be opened raises its OSError, here rather
+    than at the first record.
     """
+    if not speed >= 0:
+        raise ValueError(f"speed must be >= 0, got {speed}")
     if loop_count < 1:
         raise ValueError(f"loop_count must be >= 1, got {loop_count}")
     open(path, "rb").close()
@@ -224,8 +227,18 @@ def _replay_passes(path: str, fmt: str, speed: float, loop_count: int,
 
 def tcp_source(host: str, port: int, fmt: str,
                stats: ParseStats | None = None) -> Iterator[SpatialPoint]:
-    """Accept one connection and stream its newline-framed records."""
-    with socket.create_server((host, port)) as srv:
+    """Accept one connection and stream its newline-framed records.
+
+    The server socket is bound and listening when this returns, so a busy
+    port raises its OSError here rather than at the first record; the
+    first record waits for the connection.
+    """
+    return _serve_one(socket.create_server((host, port)), fmt, stats)
+
+
+def _serve_one(srv: socket.socket, fmt: str,
+               stats: ParseStats | None) -> Iterator[SpatialPoint]:
+    with srv:
         conn, _addr = srv.accept()
         with conn, conn.makefile("r", encoding="utf-8") as fh:
             yield from parse_lines(fh, fmt, stats)

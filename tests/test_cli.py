@@ -5,8 +5,11 @@ import io
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,43 @@ def test_stdin_source_matches_file_input(tmp_path, monkeypatch):
     assert from_stdin.read_bytes() == from_file.read_bytes()
 
 
+def test_tcp_source_matches_file_input(tmp_path):
+    path = synth(tmp_path, "s.csv", 400, seed=9)
+    from_file, from_tcp = tmp_path / "f.jsonl", tmp_path / "t.jsonl"
+    assert main(["range", *query_args(path, from_file), "--q", "40,50"]) == 0
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    sent = []
+
+    def client():
+        # Retry until the source listens; give up after about 10 s.
+        for _ in range(1000):
+            try:
+                conn = socket.create_connection(("127.0.0.1", port))
+                break
+            except ConnectionRefusedError:
+                time.sleep(0.01)
+        else:
+            return
+        with conn:
+            conn.sendall(path.read_bytes())
+        sent.append(True)
+
+    th = threading.Thread(target=client)
+    th.start()
+    try:
+        args = query_args(path, from_tcp)[2:]  # drop --input PATH
+        rc = main(["range", *args, "--q", "40,50", "--source", f"tcp:{port}"])
+    finally:
+        th.join(timeout=15)
+    assert not th.is_alive()
+    assert rc == 0 and sent
+    assert from_file.read_bytes()
+    assert from_tcp.read_bytes() == from_file.read_bytes()
+    # The source closed its server socket: the port is free again.
+    socket.create_server(("127.0.0.1", port)).close()
+
+
 def test_zero_radius_fails(tmp_path):
     path = synth(tmp_path, "s.csv", 50, seed=14)
     out = tmp_path / "res.jsonl"
@@ -222,15 +262,25 @@ def test_join_rejects_loop_above_one(tmp_path, capsys):
     ("range", ["--q", "40,50", "--input", "{missing}"]),
     ("join", ["--query-input", "{missing}"]),
     ("range", ["--q", "40,50", "--loop", "0"]),
+    ("range", ["--q", "40,50", "--replay-speed", "-5"]),
+    ("range", ["--q", "40,50", "--replay-speed", "nan"]),
+    ("join", ["--query-input", "{path}", "--replay-speed", "-5"]),
+    ("range", ["--q", "40,50", "--source", "tcp:99999"]),
+    ("range", ["--q", "40,50", "--source", "tcp:0"]),
+    ("range", ["--q", "40,50", "--source", "tcp:{busy}"]),
 ])
 def test_bad_input_exits_2_and_leaves_out_alone(tmp_path, kind, extra):
     path = synth(tmp_path, "s.csv", 50, seed=15)
     missing = str(tmp_path / "missing.csv")
     out = tmp_path / "res.jsonl"
     out.write_bytes(b"earlier results\n")
-    # A later --input overrides the one query_args gives.
-    rc = main([kind, *query_args(path, out, r="4"),
-               *[a.format(missing=missing) for a in extra]])
+    # A listening socket makes its port busy for a tcp: source.
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        subs = {"missing": missing, "path": str(path),
+                "busy": busy.getsockname()[1]}
+        # A later --input overrides the one query_args gives.
+        rc = main([kind, *query_args(path, out, r="4"),
+                   *[a.format(**subs) for a in extra]])
     assert rc == 2
     assert out.read_bytes() == b"earlier results\n"
 

@@ -6,12 +6,18 @@ agree.
 """
 
 import heapq
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import gridstream
 from gridstream.geo import haversine_m
 from gridstream.grid import build_grid
 from gridstream.operators import ResultBatch, batch_to_json
@@ -126,6 +132,36 @@ def test_route_keyed_is_deterministic_per_cell():
         first = route_keyed(key, 8, p)
         assert 0 <= first < p
         assert all(route_keyed(key, 8, p) == first for _ in range(3))
+
+
+# (cell key, n_bits, p) -> instance, pinned so a route cannot drift
+# between releases, hosts or hash seeds.
+PINNED_ROUTES = {
+    (75 << 16 | 60, 16, 2): 0, (76 << 16 | 60, 16, 2): 1,
+    (149 << 16 | 107, 16, 3): 0, (3 << 16 | 5, 16, 3): 2,
+    (12 << 16 | 99, 16, 4): 1, (13 << 16 | 99, 16, 4): 2,
+    (40 << 16 | 7, 16, 8): 1, (41 << 16 | 7, 16, 8): 6,
+    (0xABCD, 8, 8): 3, (0x1234, 8, 3): 0,
+}
+
+
+def test_route_keyed_is_stable_across_processes():
+    src = str(Path(gridstream.__file__).resolve().parents[1])
+    code = ("import sys, json\n"
+            "from gridstream.runtime import route_keyed\n"
+            "cases = json.loads(sys.argv[1])\n"
+            "print(json.dumps([route_keyed(*c) for c in cases]))\n")
+    cases = list(PINNED_ROUTES)
+    got = []
+    for seed in ("0", "4242"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(cases)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        got.append(json.loads(done.stdout))
+    assert got[0] == got[1] == list(PINNED_ROUTES.values())
+    assert [route_keyed(*c) for c in cases] == got[0]
 
 
 def test_route_keyed_balances_uniform_load():

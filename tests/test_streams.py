@@ -1,5 +1,6 @@
 """Record parsing, serialization round-trips, and stream sources."""
 
+import math
 import random
 import socket
 import threading
@@ -269,6 +270,15 @@ def test_replay_file_checks_its_arguments_at_call_time(tmp_path):
     path.write_text("a,0,1.0,1.0\n")
     with pytest.raises(ValueError):
         replay_file(str(path), "csv", loop_count=0)
+    for speed in (-5.0, math.nan):
+        with pytest.raises(ValueError):
+            replay_file(str(path), "csv", speed=speed)
+
+
+def test_tcp_source_binds_at_call_time():
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        with pytest.raises(OSError):
+            tcp_source("127.0.0.1", busy.getsockname()[1], "csv")
 
 
 def test_replay_speed_paces_emission(tmp_path):
